@@ -1,45 +1,9 @@
 """Reed-Solomon list decoding with re-encoding and coordinate transformation."""
 
-from .decoder import DecodeReport, decode_direct, decode_reduced
-from .factorization import (
-    CandidateMessage,
-    LocatorEvaluatorPair,
-    SyndromeBranch,
-    berlekamp_massey,
-    corrected_message,
-    error_values,
-    factor_reduced,
-    find_error_locations,
-    polynomial_y_roots,
-    rr_power_series,
-)
-from .galois import Field, OpCounter, field_new
-from .koetter import (
-    BasisState,
-    InterpolationPoint,
-    InterpolationProblem,
-    delta_star,
-    monomial_count_chi,
-    n_constraints,
-    solve,
-    update_basis,
-)
-from .polynomials import (
-    BiPoly,
-    MonomialOrder,
-    UniPoly,
-    lagrange_interpolate,
-    reconstruct,
-)
-from .reencoding import (
-    ReducedContext,
-    ReencodingSet,
-    build_context,
-    decode_interpolation_reduced,
-    select_reencoding_set,
-    shift_points,
-    solve_reduced,
-)
-from .rs_codec import CodeSpec, encode, reencode
+from .decoder import DecodeReport, decode_reduced
+from .factorization import CandidateMessage
+from .galois import Field
+from .koetter import InterpolationPoint, InterpolationProblem
+from .rs_codec import CodeSpec
 
 __version__ = "0.1.0"

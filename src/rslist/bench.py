@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 
 from .galois import GF256_POLY, Field, OpCounter
-from .koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints, solve
+from .koetter import InterpolationPoint, InterpolationProblem, solve
 from .polynomials import UniPoly
 
 # Multiplicity profile of the large soft-decision instance: (multiplicity, #points).
@@ -118,7 +118,7 @@ def run_interpolation_bench(problem: InterpolationProblem) -> list[BenchRow]:
     Re-encoding setup (e, g, psi, tails, coordinate transform) is excluded
     from the reduced row, mirroring how the two interpolation loops compare.
     """
-    from .reencoding import build_context, select_reencoding_set, solve_reduced
+    from .reencoding import prepare_reduced, solve_reduced
 
     f = problem.field
     rows = []
@@ -133,16 +133,11 @@ def run_interpolation_bench(problem: InterpolationProblem) -> list[BenchRow]:
 
     setup = OpCounter()
     with f.count_into(setup):
-        n_orig = n_constraints(p.mult for p in problem.points)
-        _, r = delta_star(n_orig, problem.k)
-        rset = select_reencoding_set(problem)
-        drop = set(rset.indices)
-        remaining = [p for i, p in enumerate(problem.points) if i not in drop]
-        ctx = build_context(rset, r, remaining)
+        _, ctx, _, _ = prepare_reduced(problem)
     ctr = OpCounter()
     t0 = time.perf_counter()
     with f.count_into(ctr):
-        res_red = solve_reduced(ctx, r)
+        res_red = solve_reduced(ctx)
     rows.append(
         BenchRow(
             "reduced",

@@ -1,8 +1,8 @@
 """Command-line front door: encode, decode, bench, selftest.
 
-Exit codes: 0 success, 2 input validation error, 3 undecodable (too many
-erasures). Problem files are UTF-8 JSON; field elements may be written as
-integers or in "a^i" form.
+Exit codes: 0 success, 2 input validation error (a malformed file included),
+3 undecodable (too many erasures). Problem files are UTF-8 JSON; field
+elements may be written as integers or in "a^i" form.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .galois import GF8_POLY, Field
 from .koetter import InterpolationPoint, InterpolationProblem, format_trace_row
 from .polynomials import UniPoly
 from .reencoding import TooManyErasures
-from .rs_codec import CodeSpec, encode
+from .rs_codec import CodeSpec, encode, json_int
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,15 +30,24 @@ def load_code(path: str) -> CodeSpec:
 
 
 def load_problem(path: str) -> tuple[InterpolationProblem, CodeSpec, int | None]:
+    """Read a problem file; any malformed shape or value raises ValueError or KeyError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"problem must be a JSON object, got {type(obj).__name__}")
     code = CodeSpec.from_json(obj["code"])
     f = code.field
+    if not isinstance(obj["points"], list) or not all(isinstance(p, dict) for p in obj["points"]):
+        raise ValueError("points must be a list of JSON objects")
     points = [
-        InterpolationPoint(f.parse_element(p["x"]), f.parse_element(p["y"]), int(p.get("mult", 1)))
+        InterpolationPoint(
+            f.parse_element(p["x"]), f.parse_element(p["y"]), json_int(p.get("mult", 1), "mult")
+        )
         for p in obj["points"]
     ]
     tau = obj.get("tau")
+    if tau is not None:
+        tau = json_int(tau, "tau")
     return InterpolationProblem(f, points, code.k), code, tau
 
 
@@ -47,7 +56,7 @@ def cmd_encode(args) -> int:
         code = load_code(args.code)
         coeffs = [code.field.parse_element(c) for c in args.coefficient]
         word = encode(code, UniPoly(code.field, coeffs))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(" ".join(code.field.format_element(c, not args.ints) for c in word))
@@ -57,7 +66,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     try:
         problem, code, file_tau = load_problem(args.problem)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     tau = args.tau if args.tau is not None else file_tau

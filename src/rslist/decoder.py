@@ -12,9 +12,9 @@ from .factorization import (
     polynomial_y_roots,
 )
 from .galois import OpCounter
-from .koetter import InterpolationProblem, delta_star, n_constraints, solve
+from .koetter import InterpolationProblem, solve
 from .polynomials import reconstruct
-from .reencoding import build_context, select_reencoding_set, solve_reduced
+from .reencoding import prepare_reduced, solve_reduced
 
 
 @dataclass
@@ -97,15 +97,9 @@ def decode_reduced(
     interp = OpCounter()
     fact = OpCounter()
     with f.count_into(setup):
-        problem.validate()
-        n_orig = n_constraints(p.mult for p in problem.points)
-        dstar, r = delta_star(n_orig, problem.k)
-        rset = select_reencoding_set(problem)
-        drop = set(rset.indices)
-        remaining = [p for i, p in enumerate(problem.points) if i not in drop]
-        ctx = build_context(rset, r, remaining)
+        rset, ctx, n_orig, dstar = prepare_reduced(problem)
     with f.count_into(interp):
-        res = solve_reduced(ctx, r, collect_trace=collect_trace)
+        res = solve_reduced(ctx, collect_trace=collect_trace)
     with f.count_into(fact):
         candidates = factor_reduced(res.minimal, ctx, rset, tau, problem.k)
     if verify:
@@ -124,7 +118,7 @@ def decode_reduced(
         },
         n_orig,
         dstar,
-        r,
+        ctx.r,
         reduced_constraints=res.n_constraints,
         trace=res.trace,
     )

@@ -113,47 +113,44 @@ def _y_restriction(m: BiPoly) -> UniPoly:
     return UniPoly(m.field, [c.coef(0) for c in m.ycoeffs])
 
 
-def rr_power_series(h: BiPoly, depth: int) -> list[SyndromeBranch]:
-    """First `depth` power-series coefficients of every rational Y-root of h.
+def _rr_levels(h: BiPoly, depth: int, cap: int | None = None) -> list[tuple[BiPoly, list[int]]]:
+    """Roth-Ruckenstein to `depth` levels: (remainder, coefficient prefix) per live branch.
 
-    Level by level: strip common X-powers, read the roots of h(0, Y), and
-    recurse on h(X, X*Y + gamma). Branches that run out of roots die; the
-    live set is capped at deg_Y(h) per level, excess (a degenerate h) is
-    dropped in discovery order.
+    Level by level: strip common X-powers, read the roots of m(0, Y), and
+    recurse on m(X, X*Y + gamma). Branches that run out of roots die. With a
+    cap, each level is truncated to its first `cap` branches in discovery
+    order after all of its transforms are built.
     """
     if h.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    cap = max(int(h.y_degree), 1)
     level: list[tuple[BiPoly, list[int]]] = [(_strip_x(h), [])]
     for _ in range(depth):
         nxt: list[tuple[BiPoly, list[int]]] = []
         for m, prefix in level:
             for gamma in univariate_roots(_y_restriction(m)):
                 nxt.append((_strip_x(_rr_transform(m, gamma)), prefix + [gamma]))
-        if len(nxt) > cap:
-            nxt = nxt[:cap]
-        level = nxt
+        level = nxt[:cap]
+    return level
+
+
+def rr_power_series(h: BiPoly, depth: int) -> list[SyndromeBranch]:
+    """First `depth` power-series coefficients of every rational Y-root of h.
+
+    The live set is capped at deg_Y(h) per level, excess (a degenerate h) is
+    dropped in discovery order.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    level = _rr_levels(h, depth, cap=max(len(h.ycoeffs) - 1, 1))
     return [SyndromeBranch(prefix) for _, prefix in level]
 
 
 def polynomial_y_roots(q: BiPoly, depth: int) -> list[UniPoly]:
     """All f with deg f < depth and q(X, f(X)) = 0, by full Roth-Ruckenstein."""
-    if q.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    f = q.field
-    level: list[tuple[BiPoly, list[int]]] = [(_strip_x(q), [])]
-    for _ in range(depth):
-        nxt = []
-        for m, prefix in level:
-            for gamma in univariate_roots(_y_restriction(m)):
-                nxt.append((_strip_x(_rr_transform(m, gamma)), prefix + [gamma]))
-        level = nxt
     roots = []
-    for m, prefix in level:
+    for m, prefix in _rr_levels(q, depth):
         if m.ycoef(0).is_zero:  # m(X, 0) = 0, so the prefix is a Y-root
-            roots.append(UniPoly(f, prefix))
+            roots.append(UniPoly(q.field, prefix))
     return roots
 
 
@@ -223,7 +220,6 @@ def berlekamp_massey(field: Field, branch: SyndromeBranch) -> tuple[LocatorEvalu
 
 def find_error_locations(sigma: UniPoly, rset: ReencodingSet) -> tuple[list[int] | None, str]:
     """Positions in the re-encoding set where sigma vanishes (rule c on failure)."""
-    f = sigma.field
     t = int(sigma.degree) if not sigma.is_zero else 0
     if t == 0:
         return [], ACCEPTED

@@ -25,14 +25,10 @@ class DivisionByZero(ZeroDivisionError):
 
 @dataclass
 class OpCounter:
-    """Running totals of field operations; monotone between explicit resets."""
+    """Running totals of field operations; monotone."""
 
     multiplications: int = 0
     additions: int = 0
-
-    def reset(self) -> None:
-        self.multiplications = 0
-        self.additions = 0
 
     def snapshot(self) -> dict[str, int]:
         return {"multiplications": self.multiplications, "additions": self.additions}
@@ -142,10 +138,6 @@ class Field:
             out[nz] = self.exp[self.log[arr[nz]] + self.log[s]]
         return out
 
-    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.counter.additions += min(a.size, b.size)
-        return a ^ b
-
     def vpowers(self, x: int, n: int) -> np.ndarray:
         """x^0 .. x^n as an array; counts n multiplications."""
         self.counter.multiplications += n
@@ -171,6 +163,9 @@ class Field:
         return f"a^{e}"
 
     def parse_element(self, s) -> int:
+        """An element written as an int or as a string ("0", "1", "a", "a^i" or decimal)."""
+        if isinstance(s, bool) or not isinstance(s, (int, str)):
+            raise ValueError(f"element {s!r} is neither an integer nor a string")
         if isinstance(s, int):
             v = s
         else:
@@ -213,11 +208,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, prim_poly=0x{self.prim_poly:x})"
-
-
-def field_new(m: int, prim_poly: int) -> Field:
-    """Construct GF(2^m); rejects non-primitive or wrong-degree polynomials."""
-    return Field(m, prim_poly)
 
 
 # Handy defining polynomials for the fields used throughout the tests.

@@ -35,19 +35,18 @@ class InterpolationProblem:
     k: int
 
     def validate(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"code dimension k={self.k} < 1")
+        q = self.field.q
         seen = set()
         for p in self.points:
+            if not (0 <= p.x < q and 0 <= p.y < q):
+                raise ValueError(f"point ({p.x}, {p.y}) has an element outside GF({q})")
             if p.mult < 1:
                 raise ValueError(f"multiplicity {p.mult} < 1")
             if (p.x, p.y) in seen:
                 raise DuplicatePoint(f"point ({p.x}, {p.y}) repeated")
             seen.add((p.x, p.y))
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "points": [{"x": p.x, "y": p.y, "mult": p.mult} for p in self.points],
-        }
 
 
 def n_constraints(mults) -> int:
@@ -70,6 +69,8 @@ def delta_star(n_cons: int, k: int) -> tuple[int, int]:
     For k = 1 the (1, 0)-weight puts no bound on the Y-degree, so the count
     is taken over the square i <= delta, j <= delta and r = delta.
     """
+    if k < 1:
+        raise ValueError(f"code dimension k={k} < 1")
     if k == 1:
         d = 0
         while (d + 1) * (d + 1) <= n_cons:
@@ -230,7 +231,44 @@ def constraint_schedule(mult: int):
             yield a, b
 
 
-def solve(problem: InterpolationProblem, r: int | None = None, collect_trace: bool = False) -> SolveResult:
+def standard_discrepancy(f: Field, r: int):
+    """Discrepancy builder for coef(G(X+x, Y+y); X^a Y^b) on a basis up to Y^r.
+
+    Called once per point; the powers of x and y it prepares are shared by
+    that point's constraints, the x-powers grown on demand to the basis's
+    X-degree at each constraint.
+    """
+
+    def at_point(pt: InterpolationPoint):
+        xcache = PowerCache(f, pt.x)
+        ypow = f.vpowers(pt.y, r) if pt.y else None
+
+        def at_constraint(state: BasisState, a: int, b: int):
+            xpow = xcache.upto(max(_max_x_degree(state) - a, 0))
+            return lambda p: p.shifted_coef(pt.x, pt.y, a, b, xpowers=xpow, ypowers=ypow)
+
+        return at_constraint
+
+    return at_point
+
+
+def run_constraints(state: BasisState, points, discrepancy_at, trace: list[TraceRow] | None) -> BasisState:
+    """Impose every constraint of `points` on the basis, in schedule order.
+
+    `discrepancy_at(point)` returns a function of (state, a, b) that gives
+    the discrepancy of constraint (a, b) as a function of one polynomial.
+    One TraceRow per constraint is appended to `trace` unless it is None.
+    """
+    for pt in points:
+        disc = discrepancy_at(pt)
+        for a, b in constraint_schedule(pt.mult):
+            state = update_basis(state, pt.x, pt.y, a, b, disc(state, a, b))
+            if trace is not None:
+                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
+    return state
+
+
+def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveResult:
     """Run Koetter's algorithm on the given problem.
 
     Points are processed in the given order with the (a, b) schedule of
@@ -241,22 +279,9 @@ def solve(problem: InterpolationProblem, r: int | None = None, collect_trace: bo
     problem.validate()
     f = problem.field
     n_cons = n_constraints(p.mult for p in problem.points)
-    dstar, r_auto = delta_star(n_cons, problem.k)
-    if r is None:
-        r = r_auto
+    dstar, r = delta_star(n_cons, problem.k)
     order = MonomialOrder.weighted(problem.k)
     state = BasisState([BiPoly.y_power(f, j) for j in range(r + 1)], order)
     trace: list[TraceRow] | None = [] if collect_trace else None
-    for pt in problem.points:
-        xcache = PowerCache(f, pt.x)
-        ypow = f.vpowers(pt.y, r) if pt.y else None
-        for a, b in constraint_schedule(pt.mult):
-            xpow = xcache.upto(max(_max_x_degree(state) - a, 0))
-
-            def disc(p, _a=a, _b=b, _xp=xpow):
-                return p.shifted_coef(pt.x, pt.y, _a, _b, xpowers=_xp, ypowers=ypow)
-
-            state = update_basis(state, pt.x, pt.y, a, b, disc)
-            if trace is not None:
-                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
+    state = run_constraints(state, problem.points, standard_discrepancy(f, r), trace)
     return SolveResult(state.minimal(), state, n_cons, dstar, r, trace)

@@ -46,9 +46,6 @@ class MonomialOrder:
     def key(self, a: int, b: int) -> tuple[int, int]:
         return (a * self.weight_x + b * self.weight_y, b)
 
-    def less(self, mono1: tuple[int, int], mono2: tuple[int, int]) -> bool:
-        return self.key(*mono1) < self.key(*mono2)
-
     @classmethod
     def weighted(cls, k: int) -> "MonomialOrder":
         return cls(1, k - 1)
@@ -87,12 +84,6 @@ class UniPoly:
     def x_plus(cls, field: Field, c: int) -> "UniPoly":
         """X + c (equal to X - c in characteristic 2)."""
         return cls(field, [c, 1])
-
-    @classmethod
-    def monomial(cls, field: Field, deg: int, coef: int = 1) -> "UniPoly":
-        arr = np.zeros(deg + 1, dtype=np.int32)
-        arr[deg] = coef
-        return cls(field, arr)
 
     # -- basics ----------------------------------------------------------------
 
@@ -165,12 +156,6 @@ class UniPoly:
         out[s:] = self.coeffs
         return UniPoly(self.field, out)
 
-    def pow_int(self, e: int) -> "UniPoly":
-        out = UniPoly.one(self.field)
-        for _ in range(e):
-            out = out.mul(self)
-        return out
-
     def eval_at(self, x: int) -> int:
         if self.is_zero:
             return 0
@@ -190,24 +175,6 @@ class UniPoly:
         for i in range(self.coeffs.size - 2, -1, -1):
             acc = f.vmul(acc, xs) ^ int(self.coeffs[i])
         return acc
-
-    def hasse_eval(self, a: int, x: int, xpowers: np.ndarray | None = None) -> int:
-        """Evaluate the a-th Hasse derivative at x.
-
-        Equals sum over i >= a with odd C(i, a) of c_i x^(i-a); the parity is
-        Lucas' theorem, so a term exists exactly when a's bits are a subset
-        of i's bits.
-        """
-        deg = self.coeffs.size - 1
-        if deg < a:
-            return 0
-        idx = np.arange(a, deg + 1, dtype=np.int64)
-        sel = idx[(idx & a) == a]
-        if xpowers is None:
-            xpowers = self.field.vpowers(x, deg - a)
-        prod = self.field.vmul(self.coeffs[sel], xpowers[sel - a])
-        self.field.counter.additions += max(prod.size - 1, 0)
-        return int(np.bitwise_xor.reduce(prod)) if prod.size else 0
 
     def formal_derivative(self) -> "UniPoly":
         """First-order Hasse derivative; in characteristic 2 this keeps c_{i+1} for even i."""

@@ -18,15 +18,12 @@ from .koetter import (
     BasisState,
     InterpolationPoint,
     InterpolationProblem,
-    PowerCache,
     SolveResult,
     TraceRow,
-    _max_x_degree,
-    _snapshot,
-    constraint_schedule,
     delta_star,
     n_constraints,
-    update_basis,
+    run_constraints,
+    standard_discrepancy,
 )
 from .polynomials import ORDER_REDUCED, BiPoly, UniPoly, lagrange_interpolate
 
@@ -149,7 +146,34 @@ def _transformed_basis_poly(poly: BiPoly, x: int, vi: int, xp_powers: list[UniPo
     return BiPoly(f, rows)
 
 
-def solve_reduced(ctx: ReducedContext, r: int | None = None, collect_trace: bool = False) -> SolveResult:
+def _transformed_discrepancy(ctx: ReducedContext, r: int):
+    """Discrepancy builder for T* points.
+
+    The discrepancy of G at a T* point is the standard one taken on
+    (X - x)^v * G(X, Y / (X - x)), v the multiplicity of the re-encoding
+    point at x; the x-powers are recomputed per polynomial.
+    """
+    f = ctx.field
+
+    def at_point(pt: InterpolationPoint):
+        vi = ctx.v[pt.x]
+        max_pow = max(vi, r - vi, 1)
+        xp_powers = [UniPoly.one(f)]
+        for _ in range(max_pow):
+            xp_powers.append(xp_powers[-1].mul_linear(pt.x))
+        ypow = f.vpowers(pt.y, r) if pt.y else None
+
+        def at_constraint(state: BasisState, a: int, b: int):
+            return lambda p: _transformed_basis_poly(p, pt.x, vi, xp_powers).shifted_coef(
+                pt.x, pt.y, a, b, ypowers=ypow
+            )
+
+        return at_constraint
+
+    return at_point
+
+
+def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:
     """Koetter engine on the reduced problem.
 
     Initialization G_j = t_j(X) Y^j, order (1, -1), standard discrepancies on
@@ -157,47 +181,15 @@ def solve_reduced(ctx: ReducedContext, r: int | None = None, collect_trace: bool
     (1, -1)-least basis polynomial.
     """
     f = ctx.field
-    if r is None:
-        r = ctx.r
-    if r > ctx.r:
-        raise ValueError(f"context was built with tails up to Y^{ctx.r}, cannot solve for r={r}")
+    r = ctx.r
     polys = []
     for j in range(r + 1):
         rows = [UniPoly.zero(f)] * j + [ctx.tails[j]]
         polys.append(BiPoly(f, rows))
     state = BasisState(polys, ORDER_REDUCED)
     trace: list[TraceRow] | None = [] if collect_trace else None
-
-    for pt in ctx.s_star:
-        xcache = PowerCache(f, pt.x)
-        ypow = f.vpowers(pt.y, r) if pt.y else None
-        for a, b in constraint_schedule(pt.mult):
-            xpow = xcache.upto(max(_max_x_degree(state) - a, 0))
-
-            def disc(p, _a=a, _b=b, _xp=xpow):
-                return p.shifted_coef(pt.x, pt.y, _a, _b, xpowers=_xp, ypowers=ypow)
-
-            state = update_basis(state, pt.x, pt.y, a, b, disc)
-            if trace is not None:
-                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
-
-    for pt in ctx.t_star:
-        vi = ctx.v[pt.x]
-        max_pow = max(vi, r - vi, 1)
-        xp_powers = [UniPoly.one(f)]
-        for _ in range(max_pow):
-            xp_powers.append(xp_powers[-1].mul_linear(pt.x))
-        ypow = f.vpowers(pt.y, r) if pt.y else None
-        for a, b in constraint_schedule(pt.mult):
-
-            def disc(p, _a=a, _b=b):
-                h = _transformed_basis_poly(p, pt.x, vi, xp_powers)
-                return h.shifted_coef(pt.x, pt.y, _a, _b, ypowers=ypow)
-
-            state = update_basis(state, pt.x, pt.y, a, b, disc)
-            if trace is not None:
-                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
-
+    state = run_constraints(state, ctx.s_star, standard_discrepancy(f, r), trace)
+    state = run_constraints(state, ctx.t_star, _transformed_discrepancy(ctx, r), trace)
     n_red = ctx.reduced_constraints()
     return SolveResult(state.minimal(), state, n_red, -1, r, trace)
 
@@ -223,22 +215,28 @@ class ReducedInterpolation:
     trace: list[TraceRow] | None = dataclass_field(default=None)
 
 
-def decode_interpolation_reduced(
-    problem: InterpolationProblem, r: int | None = None, collect_trace: bool = False
-) -> ReducedInterpolation:
-    """Full reduced-interpolation pipeline: select R, transform, solve.
+def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, ReducedContext, int, int]:
+    """Validate, select R, drop it and build the reduced context.
 
     r is taken from the original problem's constraint count so the basis
-    spans the same Y-degrees as the original solution space.
+    spans the same Y-degrees as the original solution space. Returns the
+    re-encoding set, the context (whose `r` is the one used), the original
+    constraint count and delta*.
     """
     problem.validate()
     n_orig = n_constraints(p.mult for p in problem.points)
-    dstar, r_auto = delta_star(n_orig, problem.k)
-    if r is None:
-        r = r_auto
+    dstar, r = delta_star(n_orig, problem.k)
     rset = select_reencoding_set(problem)
     drop = set(rset.indices)
     remaining = [p for i, p in enumerate(problem.points) if i not in drop]
     ctx = build_context(rset, r, remaining)
-    result = solve_reduced(ctx, r, collect_trace=collect_trace)
-    return ReducedInterpolation(result.minimal, ctx, rset, result, n_orig, dstar, r, result.trace)
+    return rset, ctx, n_orig, dstar
+
+
+def decode_interpolation_reduced(
+    problem: InterpolationProblem, collect_trace: bool = False
+) -> ReducedInterpolation:
+    """Full reduced-interpolation pipeline: select R, transform, solve."""
+    rset, ctx, n_orig, dstar = prepare_reduced(problem)
+    result = solve_reduced(ctx, collect_trace=collect_trace)
+    return ReducedInterpolation(result.minimal, ctx, rset, result, n_orig, dstar, ctx.r, result.trace)

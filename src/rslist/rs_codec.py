@@ -1,19 +1,15 @@
-"""Reed-Solomon code definition, evaluation encoding, and re-encoding."""
+"""Reed-Solomon code definition and evaluation encoding."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
 from .galois import Field
-from .polynomials import DuplicateAbscissa, UniPoly, lagrange_interpolate
+from .polynomials import UniPoly
 
 
 class DegreeTooHigh(ValueError):
     """Message polynomial degree is k or more."""
-
-
-class WrongCount(ValueError):
-    """Re-encoding needs exactly k points."""
 
 
 @dataclass
@@ -35,8 +31,10 @@ class CodeSpec:
             raise ValueError(f"support has {len(self.support)} elements, expected n={self.n}")
         if len(set(self.support)) != self.n:
             raise ValueError("support elements must be distinct")
-        if not self.k <= self.n <= self.field.q:
-            raise ValueError(f"need k <= n <= q, got k={self.k}, n={self.n}, q={self.field.q}")
+        if not 1 <= self.k <= self.n <= self.field.q:
+            raise ValueError(f"need 1 <= k <= n <= q, got k={self.k}, n={self.n}, q={self.field.q}")
+        if not all(0 <= x < self.field.q for x in self.support):
+            raise ValueError(f"support elements must lie in [0, {self.field.q})")
 
     def to_json(self) -> dict:
         return {
@@ -49,24 +47,26 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CodeSpec":
-        f = Field(int(obj["m"]), int(obj["prim_poly"]))
-        support = [f.parse_element(x) for x in obj.get("support", [])]
-        return cls(f, int(obj["n"]), int(obj["k"]), support)
+        """Parse a code object; a wrong type or value raises ValueError, a missing key KeyError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"code must be a JSON object, got {type(obj).__name__}")
+        f = Field(json_int(obj["m"], "m"), json_int(obj["prim_poly"], "prim_poly"))
+        support = obj.get("support", [])
+        if not isinstance(support, list):
+            raise ValueError(f"support must be a list, got {type(support).__name__}")
+        support = [f.parse_element(x) for x in support]
+        return cls(f, json_int(obj["n"], "n"), json_int(obj["k"], "k"), support)
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON file: an int or a decimal string, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+    return int(value)
 
 
 def encode(code: CodeSpec, f: UniPoly) -> list[int]:
     """Evaluate the message polynomial on the support."""
     if f.degree != float("-inf") and f.degree >= code.k:
         raise DegreeTooHigh(f"deg f = {f.degree} >= k = {code.k}")
-    return [f.eval_at(x) for x in code.support]
-
-
-def reencode(code: CodeSpec, points) -> UniPoly:
-    """The unique degree-< k polynomial through k given (x, y) values."""
-    pts = list(points)
-    if len(pts) != code.k:
-        raise WrongCount(f"need exactly k={code.k} points, got {len(pts)}")
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("x-coordinates must be distinct")
-    return lagrange_interpolate(code.field, pts)
+    return f.eval_many(code.support).tolist()

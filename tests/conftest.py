@@ -34,6 +34,18 @@ def worked_problem(gf8):
     return InterpolationProblem(gf8, worked_points(gf8), 2)
 
 
+@pytest.fixture
+def shifted_problem(gf8):
+    """The worked instance after the re-encoding shift, in the published point order."""
+    from golden_tables import TABLE_SHIFTED_POINTS
+
+    pts = [
+        InterpolationPoint(gf8.parse_element(x), gf8.parse_element(y), m)
+        for x, y, m in TABLE_SHIFTED_POINTS
+    ]
+    return InterpolationProblem(gf8, pts, 2)
+
+
 def parse_poly_text(f, text):
     """Inverse of the canonical to_text form, for golden-table comparisons."""
     text = text.strip()

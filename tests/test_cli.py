@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +70,94 @@ class TestDecode:
         bad.write_text('{"code": {"m": 3, "prim_poly": 11, "n": 4, "k": 2}}')
         res = run_cli("decode", str(bad))
         assert res.returncode == 2
+        res = run_cli("decode", str(tmp_path / "missing.json"))
+        assert res.returncode == 2
+
+
+# Decodes each file given on the command line both ways in one interpreter and
+# prints the exit codes; an exception that would end the CLI with a traceback
+# is printed in place of its code.
+FUZZ_RUNNER = """
+import contextlib, io, json, sys
+from rslist.cli import main
+
+codes = []
+for path in sys.argv[1:]:
+    for route in ("reduced", "direct"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                codes.append(main(["decode", path, "--path", route]))
+            except Exception as exc:
+                codes.append(f"{type(exc).__name__}: {exc}")
+print(json.dumps(codes))
+"""
+
+
+def malformed_problems(base: dict, rng: random.Random, count: int) -> list:
+    """The cases that once exited 0 on a wrong type, 1 or hung, then seeded random mutations of `base`."""
+    cases = []
+    for site, key, value in [
+        ("code", "k", 0),
+        ("code", "k", -1),
+        ("top", "points", 5),
+        ("top", "points", [5]),
+        ("top", "code", 7),
+        ("point", "x", 1.5),
+        ("point", "x", None),
+        ("top", "tau", "x"),
+        ("code", "k", True),
+        ("point", "x", True),
+        ("point", "y", False),
+        ("point", "mult", True),
+        ("top", "tau", True),
+    ]:
+        obj = copy.deepcopy(base)
+        target = {"top": obj, "code": obj["code"], "point": obj["points"][0]}[site]
+        target[key] = value
+        cases.append(obj)
+    cases += [[base], 5, "x", None]
+    wrong_types = [None, 1.5, "x", "", [], {}, [5], {"x": 1}, True]
+    out_of_range = [-1, 0, 8, 9, 17, 255, 2**40, "a^x", "9", "-1"]
+    for _ in range(count):
+        obj = copy.deepcopy(base)
+        point = rng.choice(obj["points"])
+        kind = rng.randrange(4)
+        if kind == 3:
+            point["mult"] = rng.randint(-2, 8)
+            cases.append(obj)
+            continue
+        sites = [(obj, "code"), (obj, "points"), (obj, "tau"), (point, "x"), (point, "y"), (point, "mult")]
+        sites += [(obj["code"], key) for key in ("m", "prim_poly", "n", "k", "support")]
+        if kind == 2:  # multiplicities stay small: the constraint count grows with mult^2
+            sites = [(t, key) for t, key in sites if key in ("x", "y", "m", "prim_poly", "n", "k")]
+            sites.append((obj["code"]["support"], rng.randrange(len(obj["code"]["support"]))))
+        target, key = rng.choice(sites)
+        if kind == 0:
+            target[key] = rng.choice(wrong_types)
+        elif kind == 1:
+            target.pop(key, None)
+        else:
+            target[key] = rng.choice(out_of_range)
+        cases.append(obj)
+    return cases
+
+
+def test_malformed_problem_files_exit_0_2_or_3(tmp_path):
+    base = json.loads((DATA / "worked_gf8_problem.json").read_text())
+    paths = []
+    for i, case in enumerate(malformed_problems(base, random.Random(2024), 150)):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(case))
+        paths.append(str(path))
+    # one interpreter for every case, so that a hang fails here instead of stalling the suite
+    res = subprocess.run(
+        [sys.executable, "-c", FUZZ_RUNNER, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    codes = json.loads(res.stdout)
+    bad = [(paths[i // 2], code) for i, code in enumerate(codes) if code not in (0, 2, 3)]
+    assert not bad, bad
+    assert codes[:34] == [2] * 34  # both routes of the seventeen fixed cases
 
 
 class TestTrace:

@@ -10,6 +10,11 @@ from rslist.reencoding import TooManyErasures
 from conftest import random_planted_problem
 
 
+def counts(report):
+    """(multiplications, additions) per phase."""
+    return {phase: (c["multiplications"], c["additions"]) for phase, c in report.counters.items()}
+
+
 class TestDirect:
     def test_worked_problem(self, gf8, worked_problem):
         a = gf8.from_exponent
@@ -22,18 +27,34 @@ class TestDirect:
         report = decode_direct(prob)
         assert report.accepted_set() == {(5,)}
 
-    def test_counters_present(self, gf8, worked_problem):
-        report = decode_direct(worked_problem)
-        assert report.counters["interpolation"]["multiplications"] > 0
-        assert report.counters["factorization"]["multiplications"] > 0
+    def test_counters_present(self, gf8, worked_problem, shifted_problem):
+        # exact counts under the documented counting convention
+        assert counts(decode_direct(worked_problem)) == {
+            "interpolation": (487, 136),
+            "factorization": (98, 22),
+        }
+        assert counts(decode_direct(shifted_problem)) == {
+            "interpolation": (335, 65),
+            "factorization": (86, 7),
+        }
 
 
 class TestReduced:
-    def test_worked_problem(self, gf8, worked_problem):
+    def test_worked_problem(self, gf8, worked_problem, shifted_problem):
         a = gf8.from_exponent
         report = decode_reduced(worked_problem, tau=4)
         assert report.accepted_set() == {(a(5), a(6)), (a(6), a(2))}
         assert report.reduced_constraints == 5
+        assert counts(report) == {
+            "reencoding_setup": (57, 2),
+            "interpolation": (278, 47),
+            "factorization": (555, 53),
+        }
+        assert counts(decode_reduced(shifted_problem, tau=4)) == {
+            "reencoding_setup": (32, 0),
+            "interpolation": (278, 47),
+            "factorization": (525, 49),
+        }
 
     def test_error_free_word(self, gf8):
         rng = random.Random(5)
@@ -121,6 +142,11 @@ class TestLargeProfile:
         cand = report.accepted()[0]
         # the two planted errors sit in the mult-6 re-encoding positions
         assert cand.error_positions == [230, 233]
+        assert counts(report) == {
+            "reencoding_setup": (1_745_268, 56_882),
+            "interpolation": (563_578, 220_196),
+            "factorization": (362_557, 71_534),
+        }
 
     def test_bench_random_profile_decodes(self):
         from rslist.bench import random_problem

@@ -63,6 +63,12 @@ class TestFormulas:
     def test_delta_star_true_profile_count(self):
         assert delta_star(6912, 239) == (1697, 7)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_delta_star_rejects_k_below_1(self, k):
+        # the doubling search would never end: chi(delta, k) < 0 for k < 1
+        with pytest.raises(ValueError):
+            delta_star(9, k)
+
 
 class TestUpdateBasis:
     def make_initial(self, gf8, r=3, k=2):
@@ -155,6 +161,22 @@ class TestSolve:
         )
         with pytest.raises(DuplicatePoint):
             solve(prob)
+
+    @pytest.mark.parametrize(
+        "points,k",
+        [
+            ([InterpolationPoint(1, 2, 1)], 0),
+            ([InterpolationPoint(1, 2, 1)], -1),
+            ([InterpolationPoint(9, 2, 1)], 2),
+            ([InterpolationPoint(1, 8, 1)], 2),
+            ([InterpolationPoint(-1, 2, 1)], 2),
+        ],
+    )
+    def test_out_of_range_problem_rejected(self, gf8, points, k):
+        with pytest.raises(ValueError):
+            InterpolationProblem(gf8, points, k).validate()
+        with pytest.raises(ValueError):
+            solve(InterpolationProblem(gf8, points, k))
 
     def test_all_constraints_satisfied(self, gf8, worked_problem):
         res = solve(worked_problem)
