@@ -70,6 +70,10 @@ def cmd_decode(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     tau = args.tau if args.tau is not None else file_tau
+    if tau is not None and not 1 <= tau <= code.n:
+        # tau sets the Roth-Ruckenstein depth: a bound on tau is a bound on the work
+        print(f"error: tau={tau} outside [1, n={code.n}]", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         if args.path == "direct":
             report = decode_direct(problem, tau, collect_trace=args.trace)
@@ -174,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decode)
 
     p_bench = sub.add_parser("bench", help="interpolation complexity comparison")
-    p_bench.add_argument("--profile", choices=["large"], default="large")
     p_bench.add_argument("--random", nargs=3, metavar=("N", "K", "SEED"), default=None)
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1)

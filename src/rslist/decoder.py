@@ -101,7 +101,7 @@ def decode_reduced(
     with f.count_into(interp):
         res = solve_reduced(ctx, collect_trace=collect_trace)
     with f.count_into(fact):
-        candidates = factor_reduced(res.minimal, ctx, rset, tau, problem.k)
+        candidates = factor_reduced(res.minimal, ctx, rset, tau)
     if verify:
         with f.count_into(fact):
             q = reconstruct(res.minimal, ctx.psi, ctx.g, rset.e_poly)

@@ -251,7 +251,7 @@ def error_values(
     return out, ACCEPTED
 
 
-def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[int, int], k: int) -> UniPoly:
+def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[int, int]) -> UniPoly:
     """Interpolate the k corrected re-encoding values into the message polynomial."""
     f = rset.e_poly.field
     loc = set(locations)
@@ -263,7 +263,7 @@ def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[in
 
 
 def factor_reduced(
-    h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int, k: int
+    h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int
 ) -> list[CandidateMessage]:
     """Full pipeline per branch; rejected branches keep their status.
 
@@ -292,7 +292,7 @@ def factor_reduced(
                 CandidateMessage(None, status, pair.sigma, pair.omega, locations, branch_indices=[idx])
             )
             continue
-        msg = corrected_message(rset, locations, errors, k)
+        msg = corrected_message(rset, locations, errors)
         key = msg.coeffs.tobytes()
         if key in by_f:
             by_f[key].branch_indices.append(idx)

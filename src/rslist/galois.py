@@ -39,9 +39,16 @@ class Field:
 
     Elements are ints in [0, 2^m); bit i of the value is the coefficient of
     alpha^i in the polynomial basis. Multiplication goes through log/antilog
-    tables. Counting convention: every scalar product counts one
-    multiplication (including products by 0 or 1), and vector kernels count
-    one multiplication per slot, as a dense software loop would. Inverse
+    tables laid out so that zero needs no branch: `log[a]` is the discrete
+    log of a != 0 and `log[0]` is the sentinel Z = 2(q-1); `exp` has
+    4(q-1)+1 entries, alpha^i at i and at i + (q-1) for i < q-1, and 0 from
+    index Z on. A product is `exp[log[a] + log[b]]`, and any sum that
+    involves a zero operand lands in the zero tail. `vmul(a, b)` takes an
+    array `a` and either an array of the same shape or one element `b`.
+
+    Counting convention: every scalar product counts one multiplication
+    (including products by 0 or 1), and vector kernels count one
+    multiplication per slot of `a`, as a dense software loop would. Inverse
     lookups are free; div and pow count one multiplication each.
 
     The tables are immutable after construction. `counter` is the mutable
@@ -62,8 +69,9 @@ class Field:
         self.counter = OpCounter()
 
         q = self.q
-        exp = np.zeros(2 * (q - 1), dtype=np.int32)
-        log = np.zeros(q, dtype=np.int32)
+        zero_log = 2 * (q - 1)
+        exp = np.zeros(2 * zero_log + 1, dtype=np.int32)
+        log = np.full(q, zero_log, dtype=np.int32)
         v = 1
         for i in range(q - 1):
             if v == 1 and i > 0:
@@ -75,7 +83,7 @@ class Field:
                 v ^= prim_poly
         if v != 1:
             raise NonPrimitivePolynomial("alpha does not have order q-1")
-        exp[q - 1 :] = exp[: q - 1]
+        exp[q - 1 : zero_log] = exp[: q - 1]
         self.exp = exp
         self.log = log
         self.exp.setflags(write=False)
@@ -85,8 +93,6 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         self.counter.multiplications += 1
-        if a == 0 or b == 0:
-            return 0
         return int(self.exp[self.log[a] + self.log[b]])
 
     def add(self, a: int, b: int) -> int:
@@ -120,23 +126,9 @@ class Field:
 
     # -- vector kernels (dense counting) -----------------------------------
 
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def vmul(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
         self.counter.multiplications += a.size
-        out = np.zeros_like(a)
-        nz = (a != 0) & (b != 0)
-        if nz.any():
-            out[nz] = self.exp[self.log[a[nz]] + self.log[b[nz]]]
-        return out
-
-    def vscale(self, arr: np.ndarray, s: int) -> np.ndarray:
-        self.counter.multiplications += arr.size
-        if s == 0 or arr.size == 0:
-            return np.zeros_like(arr)
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        if nz.any():
-            out[nz] = self.exp[self.log[arr[nz]] + self.log[s]]
-        return out
+        return self.exp[self.log[a] + self.log[b]]
 
     def vpowers(self, x: int, n: int) -> np.ndarray:
         """x^0 .. x^n as an array; counts n multiplications."""

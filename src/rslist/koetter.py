@@ -214,9 +214,7 @@ class PowerCache:
             f.counter.multiplications += n + 1 - old
             out = np.zeros(n + 1, dtype=np.int32)
             out[:old] = self.arr
-            if self.x == 0:
-                out[old:] = 0
-            else:
+            if self.x != 0:
                 lx = int(f.log[self.x])
                 idx = np.arange(old, n + 1, dtype=np.int64)
                 out[old:] = f.exp[(lx * idx) % (f.q - 1)]

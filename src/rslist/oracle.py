@@ -78,12 +78,12 @@ def brute_force_interpolate(problem: InterpolationProblem) -> BiPoly:
         row = row.copy()
         for col, prow in pivots:
             if row[col]:
-                row ^= f.vscale(prow, int(row[col]))
+                row ^= f.vmul(prow, int(row[col]))
         nz = np.nonzero(row)[0]
         if nz.size == 0:
             continue
         c = int(nz[0])
-        row = f.vscale(row, f.inv(int(row[c])))
+        row = f.vmul(row, f.inv(int(row[c])))
         pivots.append((c, row))
         pivots.sort(key=lambda pr: pr[0])
 

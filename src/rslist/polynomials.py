@@ -123,7 +123,7 @@ class UniPoly:
     __sub__ = __add__  # characteristic 2
 
     def scale(self, s: int) -> "UniPoly":
-        return UniPoly(self.field, self.field.vscale(self.coeffs, s))
+        return UniPoly(self.field, self.field.vmul(self.coeffs, s))
 
     def mul(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
@@ -134,7 +134,7 @@ class UniPoly:
         out = np.zeros(a.size + b.size - 1, dtype=np.int32)
         f = self.field
         for i in range(b.size):
-            out[i : i + a.size] ^= f.vscale(a, int(b[i]))
+            out[i : i + a.size] ^= f.vmul(a, int(b[i]))
         return UniPoly(f, out)
 
     __mul__ = mul
@@ -145,7 +145,7 @@ class UniPoly:
             return self
         out = np.zeros(self.coeffs.size + 1, dtype=np.int32)
         out[1:] = self.coeffs
-        out[:-1] ^= self.field.vscale(self.coeffs, c)
+        out[:-1] ^= self.field.vmul(self.coeffs, c)
         return UniPoly(self.field, out)
 
     def shift_up(self, s: int) -> "UniPoly":
@@ -206,10 +206,7 @@ class UniPoly:
         for i in range(rem.size - dn, -1, -1):
             c = f.mul(int(rem[i + dn - 1]), dlead_inv)
             quo[i] = c
-            if c:
-                rem[i : i + dn] ^= f.vscale(d.coeffs, c)
-            else:
-                f.counter.multiplications += dn
+            rem[i : i + dn] ^= f.vmul(d.coeffs, c)
         return UniPoly(f, quo), UniPoly(f, rem)
 
     def exact_div(self, d: "UniPoly") -> "UniPoly":
@@ -412,7 +409,7 @@ class BiPoly:
             idx = np.arange(a, deg + 1, dtype=np.int64)
             sel = idx[(idx & a) == a]
             prod = f.vmul(c.coeffs[sel], xpowers[sel - a])
-            terms = f.vscale(prod, int(ypowers[j - b]))
+            terms = f.vmul(prod, int(ypowers[j - b]))
             f.counter.additions += max(terms.size - 1, 0)
             total ^= int(np.bitwise_xor.reduce(terms)) if terms.size else 0
         return total

@@ -73,6 +73,16 @@ class TestDecode:
         res = run_cli("decode", str(tmp_path / "missing.json"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("path", ["reduced", "direct"])
+    def test_tau_outside_1_to_n_exits_2(self, path):
+        # the worked problem has n = 4; tau sets the Roth-Ruckenstein depth, so it is bounded
+        problem = str(DATA / "worked_gf8_problem.json")
+        for tau in ("0", "-3", "5", str(10**6)):
+            res = run_cli("decode", problem, "--path", path, "--tau", tau, timeout=30)
+            assert res.returncode == 2, (tau, res.stderr)
+            assert "outside [1, n=4]" in res.stderr
+        assert run_cli("decode", problem, "--path", path, "--tau", "4").returncode == 0
+
 
 # Decodes each file given on the command line both ways in one interpreter and
 # prints the exit codes; an exception that would end the CLI with a traceback
@@ -110,6 +120,9 @@ def malformed_problems(base: dict, rng: random.Random, count: int) -> list:
         ("point", "y", False),
         ("point", "mult", True),
         ("top", "tau", True),
+        ("top", "tau", 0),
+        ("top", "tau", 5),
+        ("top", "tau", 10**6),
     ]:
         obj = copy.deepcopy(base)
         target = {"top": obj, "code": obj["code"], "point": obj["points"][0]}[site]
@@ -157,7 +170,7 @@ def test_malformed_problem_files_exit_0_2_or_3(tmp_path):
     codes = json.loads(res.stdout)
     bad = [(paths[i // 2], code) for i, code in enumerate(codes) if code not in (0, 2, 3)]
     assert not bad, bad
-    assert codes[:34] == [2] * 34  # both routes of the seventeen fixed cases
+    assert codes[:40] == [2] * 40  # both routes of the twenty fixed cases
 
 
 class TestTrace:

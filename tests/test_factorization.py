@@ -231,24 +231,24 @@ class TestErrorValues:
 class TestCorrectedMessage:
     def test_worked_problemd_with_error(self, gf8, worked_reduced):
         a = gf8.from_exponent
-        f2 = corrected_message(worked_reduced.rset, [1], {1: a(4)}, 2)
+        f2 = corrected_message(worked_reduced.rset, [1], {1: a(4)})
         assert f2.to_json() == [a(6), a(2)]
 
     def test_no_errors_returns_e(self, gf8, worked_reduced):
-        f1 = corrected_message(worked_reduced.rset, [], {}, 2)
+        f1 = corrected_message(worked_reduced.rset, [], {})
         assert f1 == worked_reduced.rset.e_poly
 
     def test_all_zero_values(self, gf8):
         pts = [InterpolationPoint(1, 0, 1), InterpolationPoint(2, 0, 1)]
         rset = make_rset(gf8, pts)
-        assert corrected_message(rset, [], {}, 2).is_zero
+        assert corrected_message(rset, [], {}).is_zero
 
 
 class TestFactorReduced:
     def test_worked_problemd(self, gf8, worked_reduced):
         a = gf8.from_exponent
         cands = factor_reduced(
-            worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 4, 2
+            worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 4
         )
         accepted = [c for c in cands if c.accepted]
         assert {tuple(c.f.to_json()) for c in accepted} == {(a(5), a(6)), (a(6), a(2))}
@@ -262,7 +262,7 @@ class TestFactorReduced:
 
     def test_pure_y_gives_e(self, gf8, worked_reduced):
         cands = factor_reduced(
-            BiPoly.y_power(gf8, 1), worked_reduced.ctx, worked_reduced.rset, 4, 2
+            BiPoly.y_power(gf8, 1), worked_reduced.ctx, worked_reduced.rset, 4
         )
         accepted = [c for c in cands if c.accepted]
         assert len(accepted) == 1
@@ -270,7 +270,7 @@ class TestFactorReduced:
 
     def test_tau_zero_rejected(self, gf8, worked_reduced):
         with pytest.raises(ValueError):
-            factor_reduced(worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 0, 2)
+            factor_reduced(worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 0)
 
 
 class TestDirectRoots:

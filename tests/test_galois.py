@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from rslist.galois import (
@@ -11,6 +12,20 @@ from rslist.galois import (
     NonPrimitivePolynomial,
     OpCounter,
 )
+
+
+def carryless_mul_mod(a: int, b: int, prim_poly: int) -> int:
+    """Shift-and-add product of two GF(2)[X] bit masks, reduced mod prim_poly; no tables."""
+    m = prim_poly.bit_length() - 1
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m & 1:
+            a ^= prim_poly
+    return acc
 
 
 class TestConstruction:
@@ -40,6 +55,19 @@ class TestConstruction:
         a = f.from_exponent
         assert f.mul(a(40000), a(30000)) == a(70000 % 65535)
         assert f.inv(a(7)) == a(65535 - 7)
+        # log[0] is the sentinel 2(q-1); 0 * 0 reads the last entry of the table
+        top = a(65534)
+        for x in (0, 1, a(7), top):
+            assert f.mul(0, x) == f.mul(x, 0) == 0
+        assert f.mul(top, top) == a(2 * 65534 % 65535)
+        arr = np.array([0, 1, top, 0], dtype=np.int32)
+        assert f.vmul(arr, 0).tolist() == [0, 0, 0, 0]
+        assert f.vmul(arr, top).tolist() == [0, top, f.mul(top, top), 0]
+        assert f.vmul(arr, arr[::-1].copy()).tolist() == [0, top, top, 0]
+        rng = random.Random(16)
+        for _ in range(200):
+            x, y = rng.randrange(f.q), rng.randrange(f.q)
+            assert f.mul(x, y) == carryless_mul_mod(x, y, f.prim_poly)
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):
@@ -88,9 +116,16 @@ class TestArithmetic:
     def test_field_axioms_exhaustive(self, field_name, request):
         f = request.getfixturevalue(field_name)
         elems = f.all_elements()
-        for x, y in itertools.product(elems, repeat=2):
-            assert f.mul(x, y) == f.mul(y, x)
+        pairs = list(itertools.product(elems, repeat=2))
+        ref = [carryless_mul_mod(x, y, f.prim_poly) for x, y in pairs]
+        for (x, y), xy in zip(pairs, ref):
+            assert f.mul(x, y) == f.mul(y, x) == xy
             assert f.add(x, y) == f.add(y, x)
+        xs, ys = np.array(pairs, dtype=np.int32).T
+        assert f.vmul(xs, ys).tolist() == ref
+        column = np.array(elems, dtype=np.int32)
+        for s in elems:  # one element for b, as in vmul(coeffs, s)
+            assert f.vmul(column, s).tolist() == [xy for (_, y), xy in zip(pairs, ref) if y == s]
         for x, y, z in itertools.product(elems, repeat=3):
             assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
             assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
@@ -123,17 +158,21 @@ class TestCounting:
         assert ctr.multiplications == 2
 
     def test_vector_kernels_count_per_slot(self, gf8):
-        import numpy as np
-
         arr = np.array([0, 1, 3, 5], dtype=np.int32)
+        empty = np.array([], dtype=np.int32)
         ctr = OpCounter()
         with gf8.count_into(ctr):
-            out = gf8.vscale(arr, 3)
+            scaled = {s: gf8.vmul(arr, s) for s in (3, 0)}
             out2 = gf8.vmul(arr, arr)
-        assert ctr.multiplications == 8
+            out_empty = [gf8.vmul(empty, 3), gf8.vmul(empty, 0), gf8.vmul(empty, empty)]
+        assert ctr.multiplications == 12  # one per slot of the first operand, zeros included
         for i, v in enumerate(arr):
-            assert out[i] == gf8.mul(int(v), 3)
+            for s, out in scaled.items():
+                assert out[i] == gf8.mul(int(v), s)
             assert out2[i] == gf8.mul(int(v), int(v))
+        assert scaled[0].tolist() == [0, 0, 0, 0]
+        assert all(out.dtype == arr.dtype for out in [*scaled.values(), out2])
+        assert [out.shape for out in out_empty] == [(0,)] * 3
 
     def test_counters_are_isolated(self, gf8):
         c1, c2 = OpCounter(), OpCounter()
