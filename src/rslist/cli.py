@@ -14,7 +14,7 @@ import sys
 from .bench import large_profile_problem, random_problem, run_interpolation_bench
 from .decoder import decode_direct, decode_reduced
 from .galois import GF8_POLY, Field
-from .koetter import InterpolationPoint, InterpolationProblem, format_trace_row
+from .koetter import InterpolationPoint, InterpolationProblem, format_trace_row, n_constraints
 from .polynomials import UniPoly
 from .reencoding import TooManyErasures
 from .rs_codec import CodeSpec, encode, json_int
@@ -22,6 +22,11 @@ from .rs_codec import CodeSpec, encode, json_int
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_UNDECODABLE = 3
+
+# The work of a decode grows with the constraint count, which a file sets through
+# `mult` without bound. 2^16 is about 9.5x the large profile's 6912 and admits a
+# hard-decision word of GF(2^16) at mult 1.
+MAX_CONSTRAINTS = 1 << 16
 
 
 def load_code(path: str) -> CodeSpec:
@@ -73,6 +78,10 @@ def cmd_decode(args) -> int:
     if tau is not None and not 1 <= tau <= code.n:
         # tau sets the Roth-Ruckenstein depth: a bound on tau is a bound on the work
         print(f"error: tau={tau} outside [1, n={code.n}]", file=sys.stderr)
+        return EXIT_VALIDATION
+    n_cons = n_constraints(p.mult for p in problem.points)
+    if n_cons > MAX_CONSTRAINTS:
+        print(f"error: {n_cons} constraints exceed the cap of {MAX_CONSTRAINTS}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         if args.path == "direct":

@@ -25,6 +25,7 @@ class DecodeReport:
     n_constraints: int
     delta_star: int
     r: int
+    tau: int  # the effective tau: reduced path, the error bound; direct path, the RR depth
     reduced_constraints: int | None = dataclass_field(default=None)
     trace: list | None = dataclass_field(default=None)
 
@@ -43,6 +44,7 @@ class DecodeReport:
                 "n_constraints": self.n_constraints,
                 "delta_star": self.delta_star,
                 "r": self.r,
+                "tau": self.tau,
                 "reduced_constraints": self.reduced_constraints,
             },
         }
@@ -74,6 +76,7 @@ def decode_direct(
         res.n_constraints,
         res.delta_star,
         res.r,
+        depth,
         trace=res.trace,
     )
 
@@ -119,6 +122,7 @@ def decode_reduced(
         n_orig,
         dstar,
         ctx.r,
+        tau,
         reduced_constraints=res.n_constraints,
         trace=res.trace,
     )

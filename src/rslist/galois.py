@@ -130,6 +130,12 @@ class Field:
         self.counter.multiplications += a.size
         return self.exp[self.log[a] + self.log[b]]
 
+    def vinv(self, a: np.ndarray) -> np.ndarray:
+        """Elementwise inverses of a nonzero array; free, like `inv`."""
+        if not a.all():
+            raise DivisionByZero("inverse of 0")
+        return self.exp[self.q - 1 - self.log[a]]
+
     def vpowers(self, x: int, n: int) -> np.ndarray:
         """x^0 .. x^n as an array; counts n multiplications."""
         self.counter.multiplications += n

@@ -475,8 +475,26 @@ class BiPoly:
         return f"BiPoly({self.to_text()})"
 
 
+LAGRANGE_BLOCK = 256  # points per batched pass: the temporaries stay O(256 k)
+
+
 def lagrange_interpolate(field: Field, points) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the given points."""
+    """The unique polynomial of degree < k = len(points) through the given points.
+
+    The sum over the points with y_i != 0 of y_i * num_i(X) / num_i(x_i),
+    where num_i = master / (X + x_i) and master = prod_j (X + x_j). The points
+    go in blocks of LAGRANGE_BLOCK. Within a block the synthetic divisions,
+    the Horner evaluations num_i(x_i) and the scalings each run as one
+    vector op per coefficient over all the block's points, and the scaled
+    numerators are XOR-reduced in point order into the running sum.
+
+    The counts are those of the dense per-point loop (exact_div, eval_at,
+    div, scale, then acc + term). Per point with y_i != 0: 3k
+    multiplications for the division (each of its k steps multiplies by the
+    divisor's inverted lead and updates 2 slots), k - 1 for Horner, 1 for
+    the division of y_i and k for the scaling, plus the trimmed size of the
+    running sum before the point as additions. The master costs k(k+1)/2.
+    """
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
@@ -486,14 +504,34 @@ def lagrange_interpolate(field: Field, points) -> UniPoly:
     master = UniPoly.one(field)
     for x in xs:
         master = master.mul_linear(x)
-    acc = UniPoly.zero(field)
-    for x, y in pts:
-        if y == 0:
-            continue
-        num = master.exact_div(UniPoly.x_plus(field, x))
-        denom = num.eval_at(x)
-        acc = acc + num.scale(field.div(y, denom))
-    return acc
+    m = master.coeffs
+    k = len(xs)
+    live = np.array([(x, y) for x, y in pts if y != 0], dtype=np.int32).reshape(-1, 2)
+    acc = np.zeros(k, dtype=np.int32)
+    acc_size = 0
+    for start in range(0, len(live), LAGRANGE_BLOCK):
+        bx, by = live[start : start + LAGRANGE_BLOCK].T
+        # num[i] is coefficient i of every numerator of the block
+        num = np.empty((k, bx.size), dtype=np.int32)
+        num[k - 1] = m[k]
+        for i in range(k - 1, 0, -1):
+            num[i - 1] = m[i] ^ field.vmul(num[i], bx)
+        rem = m[0] ^ field.vmul(num[0], bx)
+        field.counter.multiplications += 2 * num.size
+        if rem.any():
+            raise InexactDivision(f"remainder dividing the master by X + {bx[rem.argmax()]}")
+        denom = num[k - 1]
+        for i in range(k - 2, -1, -1):
+            denom = field.vmul(denom, bx) ^ num[i]
+        terms = field.vmul(num, field.vmul(by, field.vinv(denom)))
+        # column j becomes the running sum after the block's point j
+        terms[:, 0] ^= acc
+        np.bitwise_xor.accumulate(terms, axis=1, out=terms)
+        nonzero = terms != 0
+        sizes = np.where(nonzero.any(axis=0), k - nonzero[::-1].argmax(axis=0), 0)
+        field.counter.additions += acc_size + int(sizes[:-1].sum())
+        acc, acc_size = terms[:, -1], int(sizes[-1])
+    return UniPoly(field, acc)
 
 
 def reconstruct(h: BiPoly, psi: UniPoly, g: UniPoly, e: UniPoly) -> BiPoly:

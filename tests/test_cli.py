@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,20 @@ class TestDecode:
             assert res.returncode == 2, (tau, res.stderr)
             assert "outside [1, n=4]" in res.stderr
         assert run_cli("decode", problem, "--path", path, "--tau", "4").returncode == 0
+
+    @pytest.mark.parametrize("path", ["reduced", "direct"])
+    def test_constraint_count_over_cap_exits_2(self, path, tmp_path, capsys):
+        from rslist.cli import MAX_CONSTRAINTS, main
+
+        base = json.loads((DATA / "worked_gf8_problem.json").read_text())
+        for mult in (362, 10**6, 10**9):  # mult 362 alone is 65,703 constraints
+            base["points"][0]["mult"] = mult
+            problem = tmp_path / f"mult{mult}.json"
+            problem.write_text(json.dumps(base))
+            start = time.perf_counter()
+            assert main(["decode", str(problem), "--path", path]) == 2
+            assert time.perf_counter() - start < 1.0
+            assert f"exceed the cap of {MAX_CONSTRAINTS}" in capsys.readouterr().err
 
 
 # Decodes each file given on the command line both ways in one interpreter and

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rslist.decoder import decode_direct, decode_reduced
+from rslist.galois import Field
 from rslist.koetter import InterpolationPoint, InterpolationProblem
 from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures
@@ -77,19 +78,27 @@ class TestReduced:
         assert checked.accepted_set() == plain.accepted_set()
 
 
+def assert_paths_agree(rng, fields, count):
+    """Both paths accept the same set on `count` planted problems; TooManyErasures is skipped."""
+    done = 0
+    while done < count:
+        prob, _ = random_planted_problem(rng, fields)
+        try:
+            direct = decode_direct(prob)
+            reduced = decode_reduced(prob, tau=prob.k)
+        except TooManyErasures:
+            continue
+        assert direct.accepted_set() == reduced.accepted_set()
+        done += 1
+
+
 class TestCrossPath:
     def test_small_random_instances(self, gf8, gf16):
-        rng = random.Random(33)
-        done = 0
-        while done < 30:
-            prob, fpoly = random_planted_problem(rng, [gf8, gf16])
-            try:
-                direct = decode_direct(prob)
-                reduced = decode_reduced(prob, tau=prob.k)
-            except TooManyErasures:
-                continue
-            assert direct.accepted_set() == reduced.accepted_set()
-            done += 1
+        assert_paths_agree(random.Random(33), [gf8, gf16], 30)
+
+    def test_gf1024_instances(self):
+        # m > 4 end to end
+        assert_paths_agree(random.Random(36), [Field(10, 0x409)], 60)
 
     def test_counter_ordering(self, gf8, gf16):
         # reduced interpolation does strictly less multiplication work whenever
@@ -155,6 +164,24 @@ class TestLargeProfile:
         planted = tuple(fpoly.to_json())
         assert planted in decode_direct(problem).accepted_set()
         assert planted in decode_reduced(problem, tau=7).accepted_set()
+
+
+class TestEffectiveTau:
+    def test_reduced_default_is_min_k_6(self, worked_problem):
+        from rslist.bench import random_problem
+
+        assert decode_reduced(worked_problem).tau == 2  # k = 2
+        problem, _ = random_problem(15, 7, seed=3)
+        assert decode_reduced(problem).tau == 6
+
+    def test_direct_default_is_k(self, worked_problem):
+        assert decode_direct(worked_problem).tau == 2
+
+    @pytest.mark.parametrize("decode", [decode_reduced, decode_direct])
+    def test_explicit_tau_reported(self, gf8, worked_problem, decode):
+        report = decode(worked_problem, 3)
+        assert report.tau == 3
+        assert report.to_json(gf8)["stats"]["tau"] == 3
 
 
 def test_report_json_shape(gf8, worked_problem):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rslist.galois import GF8_POLY, GF16_POLY, GF256_POLY, Field, OpCounter
 from rslist.polynomials import (
     NEG_INF,
     BiPoly,
@@ -96,6 +97,56 @@ class TestLagrange:
     def test_duplicate_abscissa(self, gf8):
         with pytest.raises(DuplicateAbscissa):
             lagrange_interpolate(gf8, [(1, 2), (1, 3)])
+
+    def test_batched_equals_dense_loop(self):
+        rng = random.Random(55)
+        fields = [Field(3, GF8_POLY), Field(4, GF16_POLY), Field(8, GF256_POLY), Field(10, 0x409)]
+        cases = []
+        for f in fields:
+            ks = [1, 2, f.q - 1, f.q] if f.q <= 16 else [1, 2]
+            ks += [rng.randint(1, min(f.q, 40)) for _ in range(12)]
+            for i, k in enumerate(ks):
+                xs = rng.sample(range(f.q), k)  # 0 is among them now and then
+                zero_share = (0.0, 0.3, 1.0)[i % 3]
+                ys = [0 if rng.random() < zero_share else rng.randrange(1, f.q) for _ in xs]
+                cases.append((f, list(zip(xs, ys))))
+        # 290 points with y != 0: the second block of 256 starts mid-way
+        f = fields[3]
+        xs = rng.sample(range(f.q), 300)
+        cases.append((f, [(x, rng.randrange(1, f.q) if i % 30 else 0) for i, x in enumerate(xs)]))
+        assert any(not any(y for _, y in pts) for _, pts in cases)
+        assert any(0 in dict(pts) for _, pts in cases)
+        for f, pts in cases:
+            batched, dense = OpCounter(), OpCounter()
+            with f.count_into(batched):
+                got = lagrange_interpolate(f, pts)
+            with f.count_into(dense):
+                want = dense_lagrange(f, pts)
+            assert got == want, pts
+            assert batched == dense, (f, len(pts))
+
+    def test_count_pin_k239(self):
+        # 5k^2 for the k points with y != 0 plus k(k+1)/2 for the master
+        f = Field(8, GF256_POLY)
+        rng = random.Random(239)
+        pts = [(x, rng.randrange(1, f.q)) for x in rng.sample(range(f.q), 239)]
+        with f.count_into(OpCounter()) as c:
+            lagrange_interpolate(f, pts)
+        assert c.multiplications == 5 * 239**2 + 239 * 240 // 2 == 314_285
+
+
+def dense_lagrange(field, points):
+    """The per-point loop that lagrange_interpolate batches, with the counts it charges."""
+    master = UniPoly.one(field)
+    for x, _ in points:
+        master = master.mul_linear(x)
+    acc = UniPoly.zero(field)
+    for x, y in points:
+        if y == 0:
+            continue
+        num = master.exact_div(UniPoly.x_plus(field, x))
+        acc = acc + num.scale(field.div(y, num.eval_at(x)))
+    return acc
 
 
 class TestWeightedDegree:
