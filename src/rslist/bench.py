@@ -1,26 +1,15 @@
-"""Benchmark instances and runners for the interpolation complexity comparison."""
+"""Benchmark instances for the direct/reduced decoding comparison."""
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
 
-from .galois import GF256_POLY, Field, OpCounter
-from .koetter import InterpolationPoint, InterpolationProblem, solve
+from .galois import GF256_POLY, Field
+from .koetter import InterpolationPoint, InterpolationProblem
 from .polynomials import UniPoly
 
 # Multiplicity profile of the large soft-decision instance: (multiplicity, #points).
 LARGE_PROFILE = [(7, 229), (6, 12), (5, 10), (4, 4), (3, 3), (2, 10), (1, 10)]
-
-
-@dataclass
-class BenchRow:
-    path: str
-    constraints: int
-    multiplications: int
-    additions: int
-    seconds: float
 
 
 def _distinct_offset(f: Field, rng: random.Random, taken: set[int]) -> int:
@@ -110,41 +99,3 @@ def random_problem(n: int, k: int, seed: int, errors: int = 0) -> tuple[Interpol
             y ^= rng.randrange(1, f.q)
         points.append(InterpolationPoint(x, y, 1))
     return InterpolationProblem(f, points, k), fpoly
-
-
-def run_interpolation_bench(problem: InterpolationProblem) -> list[BenchRow]:
-    """Both interpolation paths on one problem, counting the solver loops only.
-
-    Re-encoding setup (e, g, psi, tails, coordinate transform) is excluded
-    from the reduced row, mirroring how the two interpolation loops compare.
-    """
-    from .reencoding import prepare_reduced, solve_reduced
-
-    f = problem.field
-    rows = []
-
-    ctr = OpCounter()
-    t0 = time.perf_counter()
-    with f.count_into(ctr):
-        res = solve(problem)
-    rows.append(
-        BenchRow("direct", res.n_constraints, ctr.multiplications, ctr.additions, time.perf_counter() - t0)
-    )
-
-    setup = OpCounter()
-    with f.count_into(setup):
-        _, ctx, _, _ = prepare_reduced(problem)
-    ctr = OpCounter()
-    t0 = time.perf_counter()
-    with f.count_into(ctr):
-        res_red = solve_reduced(ctx)
-    rows.append(
-        BenchRow(
-            "reduced",
-            res_red.n_constraints,
-            ctr.multiplications,
-            ctr.additions,
-            time.perf_counter() - t0,
-        )
-    )
-    return rows

@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
-from .bench import large_profile_problem, random_problem, run_interpolation_bench
+from .bench import large_profile_problem, random_problem
 from .decoder import decode_direct, decode_reduced
 from .galois import GF8_POLY, Field
 from .koetter import InterpolationPoint, InterpolationProblem, format_trace_row, n_constraints
@@ -101,27 +102,47 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
+BENCH_COLUMNS = "{:<8} {:<17} {:>11} {:>16} {:>12} {:>8}"
+
+
 def cmd_bench(args) -> int:
-    rows = []
+    """Decode each instance on both paths; print per-phase counts and each decode's wall time."""
+    print(BENCH_COLUMNS.format("path", "phase", "constraints", "multiplications", "additions", "seconds"))
+    interp_mults = []
     for rep in range(args.repeat):
-        if args.random:
-            n, k, seed = args.random
-            problem, _ = random_problem(int(n), int(k), int(seed) + rep)
-        else:
-            problem, _ = large_profile_problem(seed=args.seed + rep)
-        rows.extend(run_interpolation_bench(problem))
-    header = f"{'path':<10} {'constraints':>12} {'multiplications':>16} {'additions':>14} {'seconds':>9}"
-    print(header)
-    for row in rows:
-        print(
-            f"{row.path:<10} {row.constraints:>12} {row.multiplications:>16} "
-            f"{row.additions:>14} {row.seconds:>9.3f}"
-        )
-    direct = [r.multiplications for r in rows if r.path == "direct"]
-    reduced = [r.multiplications for r in rows if r.path == "reduced"]
-    if direct and reduced and direct[0]:
-        print(f"ratio reduced/direct: {reduced[0] / direct[0]:.6f}")
+        try:
+            if args.random:
+                n, k, seed = args.random
+                problem, _ = random_problem(int(n), int(k), int(seed) + rep)
+            else:
+                problem, _ = large_profile_problem(seed=args.seed + rep)
+            for decode in (decode_direct, decode_reduced):
+                t0 = time.perf_counter()
+                report = decode(problem)
+                seconds = time.perf_counter() - t0
+                _print_bench_report(report, seconds)
+                interp_mults.append(report.counters["interpolation"]["multiplications"])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+    if interp_mults:
+        print(f"interpolation ratio reduced/direct: {interp_mults[1] / interp_mults[0]:.6f}")
     return EXIT_OK
+
+
+def _print_bench_report(report, seconds: float) -> None:
+    """One row per phase, then a `decode` row with the totals and the wall time.
+
+    The interpolation row gives the constraints that loop solved, the decode
+    row the problem's constraint count.
+    """
+    solved = report.n_constraints if report.reduced_constraints is None else report.reduced_constraints
+    for phase, c in report.counters.items():
+        cons = solved if phase == "interpolation" else "-"
+        print(BENCH_COLUMNS.format(report.path, phase, cons, c["multiplications"], c["additions"], "-"))
+    mults = sum(c["multiplications"] for c in report.counters.values())
+    adds = sum(c["additions"] for c in report.counters.values())
+    print(BENCH_COLUMNS.format(report.path, "decode", report.n_constraints, mults, adds, f"{seconds:.3f}"))
 
 
 def _worked_problem() -> InterpolationProblem:
@@ -186,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--ints", action="store_true", help="print elements as integers")
     p_dec.set_defaults(func=cmd_decode)
 
-    p_bench = sub.add_parser("bench", help="interpolation complexity comparison")
+    p_bench = sub.add_parser("bench", help="direct vs reduced decode: per-phase counts and wall time")
     p_bench.add_argument("--random", nargs=3, metavar=("N", "K", "SEED"), default=None)
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,11 @@ class OpCounter:
         return {"multiplications": self.multiplications, "additions": self.additions}
 
 
+# The counter that field arithmetic charges in the running thread or asyncio
+# task; a context with no `count_into` scope open charges the shared default.
+_ACTIVE_COUNTER: ContextVar[OpCounter] = ContextVar("rslist_active_counter", default=OpCounter())
+
+
 class Field:
     """GF(2^m) for 2 <= m <= 16, defined by a primitive polynomial.
 
@@ -51,9 +57,11 @@ class Field:
     multiplication per slot of `a`, as a dense software loop would. Inverse
     lookups are free; div and pow count one multiplication each.
 
-    The tables are immutable after construction. `counter` is the mutable
-    per-context tally; independent decoding contexts should either construct
-    their own Field or scope a counter with `count_into`.
+    The tables are immutable after construction, and a Field holds nothing
+    else, so threads and asyncio tasks may share one. Counts go to the
+    counter of the running context, not to the Field: `count_into` scopes
+    a caller-owned counter for the current thread or task, and `counter`
+    reads the one in force.
     """
 
     def __init__(self, m: int, prim_poly: int) -> None:
@@ -66,7 +74,6 @@ class Field:
         self.m = m
         self.prim_poly = prim_poly
         self.q = 1 << m
-        self.counter = OpCounter()
 
         q = self.q
         zero_log = 2 * (q - 1)
@@ -92,11 +99,11 @@ class Field:
     # -- scalar arithmetic -------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        self.counter.multiplications += 1
+        _ACTIVE_COUNTER.get().multiplications += 1
         return int(self.exp[self.log[a] + self.log[b]])
 
     def add(self, a: int, b: int) -> int:
-        self.counter.additions += 1
+        _ACTIVE_COUNTER.get().additions += 1
         return a ^ b
 
     def inv(self, a: int) -> int:
@@ -108,7 +115,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        self.counter.multiplications += 1
+        _ACTIVE_COUNTER.get().multiplications += 1
         if a == 0:
             if e == 0:
                 return 1
@@ -127,7 +134,7 @@ class Field:
     # -- vector kernels (dense counting) -----------------------------------
 
     def vmul(self, a: np.ndarray, b: np.ndarray | int) -> np.ndarray:
-        self.counter.multiplications += a.size
+        _ACTIVE_COUNTER.get().multiplications += a.size
         return self.exp[self.log[a] + self.log[b]]
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
@@ -138,7 +145,7 @@ class Field:
 
     def vpowers(self, x: int, n: int) -> np.ndarray:
         """x^0 .. x^n as an array; counts n multiplications."""
-        self.counter.multiplications += n
+        _ACTIVE_COUNTER.get().multiplications += n
         out = np.zeros(n + 1, dtype=np.int32)
         out[0] = 1
         if x != 0 and n > 0:
@@ -188,15 +195,24 @@ class Field:
     def from_json(cls, obj: dict) -> "Field":
         return cls(int(obj["m"]), int(obj["prim_poly"]))
 
+    @property
+    def counter(self) -> OpCounter:
+        """The running context's counter; a shared default tally outside any scope."""
+        return _ACTIVE_COUNTER.get()
+
     @contextmanager
     def count_into(self, counter: OpCounter):
-        """Route this field's operation counts into `counter` for the block."""
-        prev = self.counter
-        self.counter = counter
+        """Charge the block's field operations to `counter`.
+
+        The scope belongs to the running thread or asyncio task, so it
+        collects the operations of every Field in that context and none of
+        other contexts, which keep their own scopes even on a shared Field.
+        """
+        token = _ACTIVE_COUNTER.set(counter)
         try:
             yield counter
         finally:
-            self.counter = prev
+            _ACTIVE_COUNTER.reset(token)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.m == other.m and self.prim_poly == other.prim_poly

@@ -126,19 +126,19 @@ class BasisState:
             keys.add(key)
 
 
-def update_basis(state: BasisState, x: int, y: int, a: int, b: int, discrepancy_fn=None) -> BasisState:
-    """One constraint step: coef(G(X+x, Y+y); X^a Y^b) = 0 imposed on the basis.
+def update_basis(state: BasisState, x: int, discrepancy_fn) -> BasisState:
+    """One constraint step at a point on X = x: discrepancy_fn(G) = 0 imposed on the basis.
 
-    If every discrepancy is zero the state is returned unchanged. Otherwise
-    the order-least polynomial with nonzero discrepancy becomes the pivot:
-    it corrects the others and is itself multiplied by (X - x).
+    `discrepancy_fn(p)` gives the constraint's coefficient for one basis
+    polynomial p, e.g. coef(p(X+x, Y+y); X^a Y^b). If every discrepancy is
+    zero the state is returned unchanged. Otherwise the order-least
+    polynomial with nonzero discrepancy becomes the pivot: it corrects the
+    others and is itself multiplied by (X - x).
     """
     polys = state.polys
     if not polys:
         return state
     f = polys[0].field
-    if discrepancy_fn is None:
-        discrepancy_fn = lambda p: p.shifted_coef(x, y, a, b)  # noqa: E731
     deltas = [discrepancy_fn(p) for p in polys]
     live = [j for j, d in enumerate(deltas) if d != 0]
     if not live:
@@ -260,7 +260,7 @@ def run_constraints(state: BasisState, points, discrepancy_at, trace: list[Trace
     for pt in points:
         disc = discrepancy_at(pt)
         for a, b in constraint_schedule(pt.mult):
-            state = update_basis(state, pt.x, pt.y, a, b, disc(state, a, b))
+            state = update_basis(state, pt.x, disc(state, a, b))
             if trace is not None:
                 trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
     return state

@@ -11,7 +11,7 @@ share an X-coordinate with the removed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .galois import Field
 from .koetter import (
@@ -203,18 +203,6 @@ def check_tail_divisibility(state: BasisState, ctx: ReducedContext) -> None:
             c.exact_div(ctx.tails[ell])
 
 
-@dataclass
-class ReducedInterpolation:
-    h: BiPoly
-    ctx: ReducedContext
-    rset: ReencodingSet
-    result: SolveResult
-    n_original: int
-    delta_star: int
-    r: int
-    trace: list[TraceRow] | None = dataclass_field(default=None)
-
-
 def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, ReducedContext, int, int]:
     """Validate, select R, drop it and build the reduced context.
 
@@ -232,11 +220,3 @@ def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, Reduc
     ctx = build_context(rset, r, remaining)
     return rset, ctx, n_orig, dstar
 
-
-def decode_interpolation_reduced(
-    problem: InterpolationProblem, collect_trace: bool = False
-) -> ReducedInterpolation:
-    """Full reduced-interpolation pipeline: select R, transform, solve."""
-    rset, ctx, n_orig, dstar = prepare_reduced(problem)
-    result = solve_reduced(ctx, collect_trace=collect_trace)
-    return ReducedInterpolation(result.minimal, ctx, rset, result, n_orig, dstar, ctx.r, result.trace)

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from rslist.bench import large_profile_problem, run_interpolation_bench
+from rslist.bench import large_profile_problem
 from rslist.decoder import decode_direct, decode_reduced
 from rslist.factorization import factor_reduced, rr_power_series
 from rslist.koetter import (
@@ -33,7 +33,7 @@ from rslist.koetter import (
 )
 from rslist.oracle import brute_force_interpolate, enumerate_monomials
 from rslist.polynomials import MonomialOrder, UniPoly, reconstruct
-from rslist.reencoding import TooManyErasures, decode_interpolation_reduced
+from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 import properties
 import golden_tables as gt
@@ -110,31 +110,33 @@ def test_criterion_2_shifted_golden(gf8, crit):
 
 def test_criterion_3_reduced_golden(gf8, worked_problem, crit):
     with crit(3, "reduced golden run: context, output, trace, reconstruction"):
-        red = decode_interpolation_reduced(worked_problem, collect_trace=True)
+        rset, ctx, _, _ = prepare_reduced(worked_problem)
+        res = solve_reduced(ctx, collect_trace=True)
         a = gf8.from_exponent
-        assert red.ctx.tails[2].to_text() == "a^2 + X"
-        assert red.ctx.tails[3].to_text() == "a^5 + a^4*X + a*X^2 + X^3"
-        assert {(p.x, p.y) for p in red.ctx.s_star} == {(a(3), a(2)), (a(3), a(3)), (1, 0), (1, a(1))}
-        assert [(p.x, p.y) for p in red.ctx.t_star] == [(a(2), 1)]
-        assert red.h.to_text() == gt.H_REDUCED
-        assert len(red.trace) == 5
+        assert ctx.tails[2].to_text() == "a^2 + X"
+        assert ctx.tails[3].to_text() == "a^5 + a^4*X + a*X^2 + X^3"
+        assert {(p.x, p.y) for p in ctx.s_star} == {(a(3), a(2)), (a(3), a(3)), (1, 0), (1, a(1))}
+        assert [(p.x, p.y) for p in ctx.t_star] == [(a(2), 1)]
+        assert res.minimal.to_text() == gt.H_REDUCED
+        assert len(res.trace) == 5
         for i, (x, y, m, rows) in enumerate(gt.TABLE_REDUCED):
-            got = {j: p.to_text() for j, p in red.trace[i].basis}
+            got = {j: p.to_text() for j, p in res.trace[i].basis}
             assert got == dict(rows), f"trace row {i + 1}"
-            assert [j for j, _ in red.trace[i].basis] == [j for j, _ in rows]
-        q = reconstruct(red.h, red.ctx.psi, red.ctx.g, red.rset.e_poly)
+            assert [j for j, _ in res.trace[i].basis] == [j for j, _ in rows]
+        q = reconstruct(res.minimal, ctx.psi, ctx.g, rset.e_poly)
         assert q.to_text() == gt.Q_DIRECT
 
 
 def test_criterion_4_factorization_golden(gf8, worked_problem, crit):
     with crit(4, "factorization golden run: both candidates with locator data"):
-        red = decode_interpolation_reduced(worked_problem)
+        rset, ctx, _, _ = prepare_reduced(worked_problem)
+        h = solve_reduced(ctx).minimal
         a = gf8.from_exponent
-        branches = rr_power_series(red.h, 8)
+        branches = rr_power_series(h, 8)
         assert len(branches) == 2
         assert branches[0].gammas == [0] * 8
         assert [gf8.format_element(g) for g in branches[1].gammas] == gt.ERROR_BRANCH_SYNDROMES
-        cands = factor_reduced(red.h, red.ctx, red.rset, 4)
+        cands = factor_reduced(h, ctx, rset, 4)
         accepted = {tuple(c.f.to_json()): c for c in cands if c.accepted}
         assert set(accepted) == {(a(5), a(6)), (a(6), a(2))}
         c1 = accepted[(a(5), a(6))]
@@ -182,10 +184,11 @@ def test_criterion_6_benchmark(crit):
         t0 = time.perf_counter()
         problem, _ = large_profile_problem(seed=1)
         assert n_constraints(p.mult for p in problem.points) == 6912
-        rows = {r.path: r for r in run_interpolation_bench(problem)}
-        direct = rows["direct"].multiplications
-        reduced = rows["reduced"].multiplications
-        assert rows["reduced"].constraints == 290
+        direct_report = decode_direct(problem)
+        reduced_report = decode_reduced(problem)
+        direct = direct_report.counters["interpolation"]["multiplications"]
+        reduced = reduced_report.counters["interpolation"]["multiplications"]
+        assert reduced_report.reduced_constraints == 290
         assert DIRECT_TARGET / 3 <= direct <= DIRECT_TARGET * 3, direct
         assert REDUCED_TARGET / 3 <= reduced <= REDUCED_TARGET * 3, reduced
         assert reduced / direct <= 1 / 100
@@ -219,9 +222,12 @@ def test_criterion_8_cross_path_equivalence(gf8, gf16, crit):
             except TooManyErasures:
                 continue
             assert direct.accepted_set() == reduced.accepted_set()
+            # the guarantee is checked against the a-priori bound, not against Q's degree
+            dstar, r = delta_star(n_constraints(pt.mult for pt in prob.points), prob.k)
+            assert solve(prob).minimal.wdeg(1, prob.k - 1) <= dstar
+            assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
             score = sum(pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y)
-            q = solve(prob).minimal
-            if score > q.wdeg(1, prob.k - 1):
+            if score > dstar:
                 bezout_hits += 1
                 assert tuple(fpoly.to_json()) in direct.accepted_set()
                 assert tuple(fpoly.to_json()) in reduced.accepted_set()

@@ -208,11 +208,36 @@ class TestBench:
         res = run_cli("bench", "--random", "12", "4", "7")
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
-        assert lines[0].split() == ["path", "constraints", "multiplications", "additions", "seconds"]
-        assert lines[1].startswith("direct") and lines[2].startswith("reduced")
-        direct_mults = int(lines[1].split()[2])
-        reduced_mults = int(lines[2].split()[2])
-        assert 0 < reduced_mults < direct_mults
+        assert lines[0].split() == ["path", "phase", "constraints", "multiplications", "additions", "seconds"]
+        rows = [line.split() for line in lines[1:-1]]
+        assert [row[:2] for row in rows] == [
+            ["direct", "interpolation"],
+            ["direct", "factorization"],
+            ["direct", "decode"],
+            ["reduced", "reencoding_setup"],
+            ["reduced", "interpolation"],
+            ["reduced", "factorization"],
+            ["reduced", "decode"],
+        ]
+        by_key = {(row[0], row[1]): row[2:] for row in rows}
+        direct_interp = by_key["direct", "interpolation"]
+        reduced_interp = by_key["reduced", "interpolation"]
+        assert direct_interp[0] == "12" and 0 < int(reduced_interp[0]) < 12  # constraints solved
+        assert 0 < int(reduced_interp[1]) < int(direct_interp[1])
+        for path in ("direct", "reduced"):
+            decode = by_key[path, "decode"]
+            assert decode[0] == "12" and float(decode[3]) >= 0
+            phase_rows = [row[2:] for row in rows if row[0] == path and row[1] != "decode"]
+            for col in (1, 2):  # the decode row totals its phases' counts
+                assert int(decode[col]) == sum(int(row[col]) for row in phase_rows)
+        ratio = int(reduced_interp[1]) / int(direct_interp[1])
+        assert lines[-1] == f"interpolation ratio reduced/direct: {ratio:.6f}"
+
+    def test_impossible_random_profile_exits_2(self):
+        # more positions than GF(256) has nonzero elements
+        res = run_cli("bench", "--random", "300", "4", "7")
+        assert res.returncode == 2
+        assert "error:" in res.stderr
 
 
 def test_selftest():

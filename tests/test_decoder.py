@@ -1,10 +1,11 @@
 import random
+import threading
 
 import pytest
 
 from rslist.decoder import decode_direct, decode_reduced
 from rslist.galois import Field
-from rslist.koetter import InterpolationPoint, InterpolationProblem
+from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints, solve
 from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures
 
@@ -14,6 +15,24 @@ from conftest import random_planted_problem
 def counts(report):
     """(multiplications, additions) per phase."""
     return {phase: (c["multiplications"], c["additions"]) for phase, c in report.counters.items()}
+
+
+# exact counts under the documented counting convention, per (path, problem);
+# the reduced decodes run at tau = 4
+PINNED_COUNTS = {
+    ("direct", "worked"): {"interpolation": (487, 136), "factorization": (98, 22)},
+    ("direct", "shifted"): {"interpolation": (335, 65), "factorization": (86, 7)},
+    ("reduced", "worked"): {
+        "reencoding_setup": (57, 2),
+        "interpolation": (278, 47),
+        "factorization": (555, 53),
+    },
+    ("reduced", "shifted"): {
+        "reencoding_setup": (32, 0),
+        "interpolation": (278, 47),
+        "factorization": (525, 49),
+    },
+}
 
 
 class TestDirect:
@@ -29,15 +48,8 @@ class TestDirect:
         assert report.accepted_set() == {(5,)}
 
     def test_counters_present(self, gf8, worked_problem, shifted_problem):
-        # exact counts under the documented counting convention
-        assert counts(decode_direct(worked_problem)) == {
-            "interpolation": (487, 136),
-            "factorization": (98, 22),
-        }
-        assert counts(decode_direct(shifted_problem)) == {
-            "interpolation": (335, 65),
-            "factorization": (86, 7),
-        }
+        assert counts(decode_direct(worked_problem)) == PINNED_COUNTS["direct", "worked"]
+        assert counts(decode_direct(shifted_problem)) == PINNED_COUNTS["direct", "shifted"]
 
 
 class TestReduced:
@@ -46,16 +58,8 @@ class TestReduced:
         report = decode_reduced(worked_problem, tau=4)
         assert report.accepted_set() == {(a(5), a(6)), (a(6), a(2))}
         assert report.reduced_constraints == 5
-        assert counts(report) == {
-            "reencoding_setup": (57, 2),
-            "interpolation": (278, 47),
-            "factorization": (555, 53),
-        }
-        assert counts(decode_reduced(shifted_problem, tau=4)) == {
-            "reencoding_setup": (32, 0),
-            "interpolation": (278, 47),
-            "factorization": (525, 49),
-        }
+        assert counts(report) == PINNED_COUNTS["reduced", "worked"]
+        assert counts(decode_reduced(shifted_problem, tau=4)) == PINNED_COUNTS["reduced", "shifted"]
 
     def test_error_free_word(self, gf8):
         rng = random.Random(5)
@@ -119,25 +123,47 @@ class TestCrossPath:
             done += 1
 
     def test_planted_message_recovered_under_bezout(self, gf8, gf16):
+        # a message whose score exceeds delta* must be on both lists, whatever Q the solver built
         rng = random.Random(35)
         done = 0
         while done < 20:
             prob, fpoly = random_planted_problem(rng, [gf8, gf16])
             try:
                 direct = decode_direct(prob)
+                reduced = decode_reduced(prob, tau=prob.k)
             except TooManyErasures:
                 continue
-            score = sum(
-                pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y
-            )
-            from rslist.koetter import solve
-
-            q = solve(prob).minimal
-            if score > q.wdeg(1, prob.k - 1):
+            dstar, r = delta_star(n_constraints(pt.mult for pt in prob.points), prob.k)
+            assert solve(prob).minimal.wdeg(1, prob.k - 1) <= dstar
+            assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
+            score = sum(pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y)
+            if score > dstar:
                 assert tuple(fpoly.to_json()) in direct.accepted_set()
-                reduced = decode_reduced(prob, tau=prob.k)
                 assert tuple(fpoly.to_json()) in reduced.accepted_set()
                 done += 1
+
+
+def test_concurrent_decodes_on_a_shared_field_keep_exact_counts(gf8, worked_problem, shifted_problem):
+    problems = {"worked": worked_problem, "shifted": shifted_problem}
+    assert worked_problem.field is shifted_problem.field is gf8
+    start = threading.Barrier(len(problems))
+    got = {name: [] for name in problems}
+
+    def work(name):
+        start.wait()
+        for _ in range(20):
+            got[name].append(("direct", counts(decode_direct(problems[name]))))
+            got[name].append(("reduced", counts(decode_reduced(problems[name], tau=4))))
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in problems]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for name, reports in got.items():
+        assert len(reports) == 40
+        for path, c in reports:
+            assert c == PINNED_COUNTS[path, name], (path, name)
 
 
 class TestLargeProfile:

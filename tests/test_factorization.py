@@ -21,15 +21,31 @@ from rslist.factorization import (
 )
 from rslist.koetter import InterpolationPoint, InterpolationProblem
 from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpolate
-from rslist.reencoding import ReencodingSet, decode_interpolation_reduced
+from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
 
 from conftest import random_unipoly
 import golden_tables as gt
 
 
 @pytest.fixture
-def worked_reduced(gf8, worked_problem):
-    return decode_interpolation_reduced(worked_problem)
+def worked_prepared(worked_problem):
+    return prepare_reduced(worked_problem)
+
+
+@pytest.fixture
+def worked_rset(worked_prepared):
+    return worked_prepared[0]
+
+
+@pytest.fixture
+def worked_ctx(worked_prepared):
+    return worked_prepared[1]
+
+
+@pytest.fixture
+def worked_h(worked_ctx):
+    """The reduced interpolation polynomial of the worked instance."""
+    return solve_reduced(worked_ctx).minimal
 
 
 def make_rset(f, pts):
@@ -38,8 +54,8 @@ def make_rset(f, pts):
 
 
 class TestPowerSeries:
-    def test_worked_problemd_branches(self, gf8, worked_reduced):
-        branches = rr_power_series(worked_reduced.h, 8)
+    def test_worked_problemd_branches(self, gf8, worked_h):
+        branches = rr_power_series(worked_h, 8)
         assert len(branches) == 2
         assert branches[0].gammas == [0] * 8
         assert [gf8.format_element(g) for g in branches[1].gammas] == gt.ERROR_BRANCH_SYNDROMES
@@ -176,47 +192,47 @@ def _generates(f, sigma, series):
 
 
 class TestErrorLocations:
-    def test_worked_problemd(self, gf8, worked_reduced):
+    def test_worked_problemd(self, gf8, worked_rset):
         a = gf8.from_exponent
         sigma = UniPoly(gf8, [1, a(5)])
-        locs, status = find_error_locations(sigma, worked_reduced.rset)
+        locs, status = find_error_locations(sigma, worked_rset)
         assert status == ACCEPTED and locs == [1]
 
-    def test_no_errors(self, gf8, worked_reduced):
-        locs, status = find_error_locations(UniPoly.one(gf8), worked_reduced.rset)
+    def test_no_errors(self, gf8, worked_rset):
+        locs, status = find_error_locations(UniPoly.one(gf8), worked_rset)
         assert status == ACCEPTED and locs == []
 
-    def test_irreducible_sigma_rejected(self, gf8, worked_reduced):
+    def test_irreducible_sigma_rejected(self, gf8, worked_rset):
         sigma = UniPoly(gf8, [1, 1, 1])  # X^2 + X + 1 has no roots in GF(8)
         assert univariate_roots(sigma) == []
-        locs, status = find_error_locations(sigma, worked_reduced.rset)
+        locs, status = find_error_locations(sigma, worked_rset)
         assert locs is None and status == INSUFFICIENT_ROOTS
 
-    def test_root_outside_reencoding_set_rejected(self, gf8, worked_reduced):
+    def test_root_outside_reencoding_set_rejected(self, gf8, worked_rset):
         a = gf8.from_exponent
         x = a(5)  # not a re-encoding x-coordinate
         sigma = UniPoly.x_plus(gf8, x).scale(gf8.inv(x))
-        locs, status = find_error_locations(sigma, worked_reduced.rset)
+        locs, status = find_error_locations(sigma, worked_rset)
         assert locs is None and status == INSUFFICIENT_ROOTS
 
 
 class TestErrorValues:
-    def test_worked_problemd_value(self, gf8, worked_reduced):
+    def test_worked_problemd_value(self, gf8, worked_ctx, worked_rset):
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
         pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)), 1)
-        values, status = error_values(pair, worked_reduced.ctx.g, [1], worked_reduced.rset)
+        values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert status == ACCEPTED and values == {1: a(4)}
 
-    def test_empty_locations(self, gf8, worked_reduced):
+    def test_empty_locations(self, gf8, worked_ctx, worked_rset):
         from rslist.factorization import LocatorEvaluatorPair
 
         pair = LocatorEvaluatorPair(UniPoly.one(gf8), UniPoly.zero(gf8), 0)
-        values, status = error_values(pair, worked_reduced.ctx.g, [], worked_reduced.rset)
+        values, status = error_values(pair, worked_ctx.g, [], worked_rset)
         assert status == ACCEPTED and values == {}
 
-    def test_zero_value_rejected(self, gf8, worked_reduced):
+    def test_zero_value_rejected(self, gf8, worked_ctx, worked_rset):
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
@@ -224,19 +240,19 @@ class TestErrorValues:
         sigma = UniPoly(gf8, [1, a(5)])
         omega = UniPoly.x_plus(gf8, a(2))
         pair = LocatorEvaluatorPair(sigma, omega, 1)
-        values, status = error_values(pair, worked_reduced.ctx.g, [1], worked_reduced.rset)
+        values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert values is None and status == ZERO_ERROR_VALUE
 
 
 class TestCorrectedMessage:
-    def test_worked_problemd_with_error(self, gf8, worked_reduced):
+    def test_worked_problemd_with_error(self, gf8, worked_rset):
         a = gf8.from_exponent
-        f2 = corrected_message(worked_reduced.rset, [1], {1: a(4)})
+        f2 = corrected_message(worked_rset, [1], {1: a(4)})
         assert f2.to_json() == [a(6), a(2)]
 
-    def test_no_errors_returns_e(self, gf8, worked_reduced):
-        f1 = corrected_message(worked_reduced.rset, [], {})
-        assert f1 == worked_reduced.rset.e_poly
+    def test_no_errors_returns_e(self, gf8, worked_rset):
+        f1 = corrected_message(worked_rset, [], {})
+        assert f1 == worked_rset.e_poly
 
     def test_all_zero_values(self, gf8):
         pts = [InterpolationPoint(1, 0, 1), InterpolationPoint(2, 0, 1)]
@@ -245,11 +261,9 @@ class TestCorrectedMessage:
 
 
 class TestFactorReduced:
-    def test_worked_problemd(self, gf8, worked_reduced):
+    def test_worked_problemd(self, gf8, worked_h, worked_ctx, worked_rset):
         a = gf8.from_exponent
-        cands = factor_reduced(
-            worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 4
-        )
+        cands = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert {tuple(c.f.to_json()) for c in accepted} == {(a(5), a(6)), (a(6), a(2))}
         by_f = {tuple(c.f.to_json()): c for c in accepted}
@@ -260,17 +274,15 @@ class TestFactorReduced:
         assert witherr.omega.to_json() == [a(5)]
         assert witherr.error_positions == [1] and witherr.error_values == {1: a(4)}
 
-    def test_pure_y_gives_e(self, gf8, worked_reduced):
-        cands = factor_reduced(
-            BiPoly.y_power(gf8, 1), worked_reduced.ctx, worked_reduced.rset, 4
-        )
+    def test_pure_y_gives_e(self, gf8, worked_ctx, worked_rset):
+        cands = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert len(accepted) == 1
-        assert accepted[0].f == worked_reduced.rset.e_poly
+        assert accepted[0].f == worked_rset.e_poly
 
-    def test_tau_zero_rejected(self, gf8, worked_reduced):
+    def test_tau_zero_rejected(self, gf8, worked_h, worked_ctx, worked_rset):
         with pytest.raises(ValueError):
-            factor_reduced(worked_reduced.h, worked_reduced.ctx, worked_reduced.rset, 0)
+            factor_reduced(worked_h, worked_ctx, worked_rset, 0)
 
 
 class TestDirectRoots:
@@ -303,10 +315,10 @@ class TestLinearFactorDivisibility:
             return False
         return h.ycoeffs[0] == omega.mul(c)
 
-    def test_divides_on_example(self, gf8, worked_reduced):
+    def test_divides_on_example(self, gf8, worked_h):
         a = gf8.from_exponent
-        assert self.divides_y_linear(worked_reduced.h, UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)))
-        assert self.divides_y_linear(worked_reduced.h, UniPoly.one(gf8), UniPoly.zero(gf8))
+        assert self.divides_y_linear(worked_h, UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)))
+        assert self.divides_y_linear(worked_h, UniPoly.one(gf8), UniPoly.zero(gf8))
 
     def test_round_trip_random(self, gf8, gf16):
         rng = random.Random(90)
@@ -330,28 +342,29 @@ class TestLinearFactorDivisibility:
                 p = pts[err_pos]
                 pts[err_pos] = InterpolationPoint(p.x, p.y ^ rng.randrange(1, f.q), p.mult)
             prob = InterpolationProblem(f, pts, k)
-            red = decode_interpolation_reduced(prob)
+            rset, ctx, _, _ = prepare_reduced(prob)
+            h = solve_reduced(ctx).minimal
             from rslist.polynomials import reconstruct
 
-            q = reconstruct(red.h, red.ctx.psi, red.ctx.g, red.rset.e_poly)
+            q = reconstruct(h, ctx.psi, ctx.g, rset.e_poly)
             if not q.y_eval(fpoly).is_zero:
                 continue  # not enough weighted agreement for divisibility
             # build sigma/omega from f's disagreements with R
-            E = [i for i, p in enumerate(red.rset.points) if fpoly.eval_at(p.x) != p.y]
+            E = [i for i, p in enumerate(rset.points) if fpoly.eval_at(p.x) != p.y]
             sigma = UniPoly.one(f)
             lam = UniPoly.one(f)
-            for i, p in enumerate(red.rset.points):
+            for i, p in enumerate(rset.points):
                 if i in E:
                     sigma = sigma.mul_linear(p.x)
                 else:
                     lam = lam.mul_linear(p.x)
-            eta = fpoly + red.rset.e_poly
+            eta = fpoly + rset.e_poly
             omega = eta.exact_div(lam)
-            assert self.divides_y_linear(red.h, sigma, omega)
+            assert self.divides_y_linear(h, sigma, omega)
             # consistency of the evaluator identity: lambda(x_i) = g'(x_i)/sigma'(x_i)
-            gprime = red.ctx.g.formal_derivative()
+            gprime = ctx.g.formal_derivative()
             sprime = sigma.formal_derivative()
             for i in E:
-                x = red.rset.points[i].x
+                x = rset.points[i].x
                 assert lam.eval_at(x) == f.div(gprime.eval_at(x), sprime.eval_at(x))
             done += 1

@@ -1,5 +1,7 @@
+import asyncio
 import itertools
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -182,6 +184,40 @@ class TestCounting:
             gf8.mul(3, 5)
             gf8.mul(3, 5)
         assert (c1.multiplications, c2.multiplications) == (1, 2)
+
+    def test_threads_sharing_a_field_keep_their_counts(self, gf8):
+        default = gf8.counter
+        n = 100_000
+        counters = [OpCounter() for _ in range(4)]
+        start = threading.Barrier(len(counters))
+
+        def work(ctr):
+            start.wait()
+            with gf8.count_into(ctr):
+                for _ in range(n):
+                    gf8.mul(3, 5)
+
+        threads = [threading.Thread(target=work, args=(c,)) for c in counters]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert [c.multiplications for c in counters] == [n] * len(counters)
+        assert gf8.counter is default
+
+    def test_asyncio_tasks_keep_their_counts(self, gf8):
+        async def work(n):
+            ctr = OpCounter()
+            with gf8.count_into(ctr):
+                for _ in range(n):
+                    gf8.mul(3, 5)
+                    await asyncio.sleep(0)  # hand over to the other task mid-scope
+            return ctr.multiplications
+
+        async def both():
+            return await asyncio.gather(work(50), work(80))
+
+        assert asyncio.run(both()) == [50, 80]
 
     def test_vpowers(self, gf8):
         a = gf8.from_exponent

@@ -78,21 +78,21 @@ class TestUpdateBasis:
     def test_first_constraint_of_worked_instance(self, gf8):
         a = gf8.from_exponent
         state = self.make_initial(gf8)
-        state = update_basis(state, a(1), a(4), 0, 0)
+        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), a(4), 0, 0))
         got = {j: state.polys[j].to_text() for j in range(4)}
         want = dict(gt.TABLE_DIRECT[0][3])
         assert got == want
 
     def test_all_zero_discrepancies_noop(self, gf8):
         state = self.make_initial(gf8)
-        same = update_basis(state, 3, 5, 0, 0, discrepancy_fn=lambda p: 0)
+        same = update_basis(state, 3, lambda p: 0)
         assert same is state
 
     def test_shifted_problem_second_constraint(self, gf8):
         a = gf8.from_exponent
         state = self.make_initial(gf8)
-        state = update_basis(state, a(1), 0, 0, 0)
-        state = update_basis(state, a(1), 0, 0, 1)
+        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), 0, 0, 0))
+        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), 0, 0, 1))
         assert state.polys[1].to_text() == "(a + X)*Y"
         assert state.polys[0].to_text() == "(a + X)"
         assert state.polys[2] == BiPoly.y_power(gf8, 2)
@@ -104,7 +104,7 @@ class TestUpdateBasis:
         for _ in range(6):
             x, y = rng.randrange(1, 8), rng.randrange(8)
             before = list(state.leadings)
-            after_state = update_basis(state, x, y, 0, 0)
+            after_state = update_basis(state, x, lambda p: p.shifted_coef(x, y, 0, 0))
             if after_state is state:
                 continue
             after = after_state.leadings

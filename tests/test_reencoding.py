@@ -8,9 +8,10 @@ from rslist.reencoding import (
     TooManyErasures,
     build_context,
     check_tail_divisibility,
-    decode_interpolation_reduced,
+    prepare_reduced,
     select_reencoding_set,
     shift_points,
+    solve_reduced,
 )
 
 import properties
@@ -108,20 +109,21 @@ class TestBuildContext:
 
 class TestSolveReduced:
     def test_worked_problemc_output(self, gf8, worked_problem):
-        red = decode_interpolation_reduced(worked_problem)
-        assert red.h.to_text() == gt.H_REDUCED
+        _, ctx, _, _ = prepare_reduced(worked_problem)
+        assert solve_reduced(ctx).minimal.to_text() == gt.H_REDUCED
 
     def test_worked_problemc_trace(self, gf8, worked_problem):
-        red = decode_interpolation_reduced(worked_problem, collect_trace=True)
-        assert len(red.trace) == 5
+        _, ctx, _, _ = prepare_reduced(worked_problem)
+        trace = solve_reduced(ctx, collect_trace=True).trace
+        assert len(trace) == 5
         for i, (x, y, m, rows) in enumerate(gt.TABLE_REDUCED):
-            got = {j: p.to_text() for j, p in red.trace[i].basis}
+            got = {j: p.to_text() for j, p in trace[i].basis}
             assert got == dict(rows), f"row {i + 1}"
-            assert [j for j, _ in red.trace[i].basis] == [j for j, _ in rows], f"row {i + 1} order"
+            assert [j for j, _ in trace[i].basis] == [j for j, _ in rows], f"row {i + 1} order"
 
     def test_first_row_pins_g1(self, gf8, worked_problem):
-        red = decode_interpolation_reduced(worked_problem, collect_trace=True)
-        state = dict((j, p) for j, p in red.trace[0].basis)
+        _, ctx, _, _ = prepare_reduced(worked_problem)
+        state = dict((j, p) for j, p in solve_reduced(ctx, collect_trace=True).trace[0].basis)
         assert state[1].to_text() == "(a^3 + X)*Y"
 
     def test_no_reduced_points(self, gf8):
@@ -130,21 +132,22 @@ class TestSolveReduced:
         # yields f = e.
         pts = [InterpolationPoint(1, 3, 1), InterpolationPoint(2, 5, 1)]
         prob = InterpolationProblem(gf8, pts, 2)
-        red = decode_interpolation_reduced(prob)
-        assert red.h == BiPoly.y_power(gf8, 1)
-        assert red.result.n_constraints == 0
+        _, ctx, _, _ = prepare_reduced(prob)
+        res = solve_reduced(ctx)
+        assert res.minimal == BiPoly.y_power(gf8, 1)
+        assert res.n_constraints == 0
 
     def test_tail_divisibility_invariant(self, gf8, gf16):
         rng = random.Random(55)
         for _ in range(15):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
-            red = decode_interpolation_reduced(prob)
-            check_tail_divisibility(red.result.basis, red.ctx)
+            _, ctx, _, _ = prepare_reduced(prob)
+            check_tail_divisibility(solve_reduced(ctx).basis, ctx)
 
     def test_reduced_constraint_count(self, gf8, worked_problem):
-        red = decode_interpolation_reduced(worked_problem)
-        removed = sum(p.mult * (p.mult + 1) // 2 for p in red.rset.points)
-        assert red.result.n_constraints == red.n_original - removed == 5
+        rset, ctx, n_orig, _ = prepare_reduced(worked_problem)
+        removed = sum(p.mult * (p.mult + 1) // 2 for p in rset.points)
+        assert solve_reduced(ctx).n_constraints == n_orig - removed == 5
 
 
 class TestEquivalences:
@@ -167,8 +170,8 @@ class TestEquivalences:
             assert solve(shifted).minimal.sub_y_shift(rset.e_poly) == solve(prob).minimal
 
     def test_reconstruction_equivalence_on_example(self, gf8, worked_problem):
-        red = decode_interpolation_reduced(worked_problem)
-        q = reconstruct(red.h, red.ctx.psi, red.ctx.g, red.rset.e_poly)
+        rset, ctx, _, _ = prepare_reduced(worked_problem)
+        q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, rset.e_poly)
         assert q == solve(worked_problem).minimal
 
     def test_reconstruction_equivalence_random(self, gf8, gf16):
@@ -176,10 +179,10 @@ class TestEquivalences:
         for _ in range(20):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             try:
-                red = decode_interpolation_reduced(prob)
+                rset, ctx, _, _ = prepare_reduced(prob)
             except TooManyErasures:
                 continue
-            q = reconstruct(red.h, red.ctx.psi, red.ctx.g, red.rset.e_poly)
+            q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, rset.e_poly)
             direct = solve(prob).minimal
             for pt in prob.points:
                 assert q.multiplicity_at(pt.x, pt.y) >= pt.mult
@@ -191,11 +194,12 @@ class TestEquivalences:
         for _ in range(20):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             try:
-                red = decode_interpolation_reduced(prob)
+                _, ctx, _, _ = prepare_reduced(prob)
             except TooManyErasures:
                 continue
-            qprime = reconstruct(red.h, red.ctx.psi, red.ctx.g, UniPoly.zero(prob.field))
-            assert qprime.wdeg(1, prob.k - 1) == int(red.ctx.psi.degree) + red.h.wdeg(1, -1)
+            h = solve_reduced(ctx).minimal
+            qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(prob.field))
+            assert qprime.wdeg(1, prob.k - 1) == int(ctx.psi.degree) + h.wdeg(1, -1)
 
 
 class TestProperties:
