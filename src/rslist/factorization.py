@@ -113,42 +113,55 @@ def _y_restriction(m: BiPoly) -> UniPoly:
     return UniPoly(m.field, [c.coef(0) for c in m.ycoeffs])
 
 
-def _rr_levels(h: BiPoly, depth: int, cap: int | None = None) -> list[tuple[BiPoly, list[int]]]:
+def _rr_levels(h: BiPoly, depth: int, cap: int | None = None) -> tuple[list[tuple[BiPoly, list[int]]], int]:
     """Roth-Ruckenstein to `depth` levels: (remainder, coefficient prefix) per live branch.
 
     Level by level: strip common X-powers, read the roots of m(0, Y), and
     recurse on m(X, X*Y + gamma). Branches that run out of roots die. With a
     cap, each level is truncated to its first `cap` branches in discovery
-    order after all of its transforms are built.
+    order after all of its transforms are built. Returns the last level and
+    the number of branches the cap dropped over all levels.
     """
     if h.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     level: list[tuple[BiPoly, list[int]]] = [(_strip_x(h), [])]
+    dropped = 0
     for _ in range(depth):
         nxt: list[tuple[BiPoly, list[int]]] = []
         for m, prefix in level:
             for gamma in univariate_roots(_y_restriction(m)):
                 nxt.append((_strip_x(_rr_transform(m, gamma)), prefix + [gamma]))
         level = nxt[:cap]
-    return level
+        dropped += len(nxt) - len(level)
+    return level, dropped
 
 
-def rr_power_series(h: BiPoly, depth: int) -> list[SyndromeBranch]:
+class SyndromeBranches(list):
+    """The live RR branches in discovery order; `dropped` counts those the live-branch cap cut."""
+
+    def __init__(self, branches, dropped: int) -> None:
+        super().__init__(branches)
+        self.dropped = dropped
+
+
+def rr_power_series(h: BiPoly, depth: int) -> SyndromeBranches:
     """First `depth` power-series coefficients of every rational Y-root of h.
 
-    The live set is capped at deg_Y(h) per level, excess (a degenerate h) is
-    dropped in discovery order.
+    The live set is capped at deg_Y(h) per level; excess would be dropped in
+    discovery order and counted in `dropped`. A child's m(0, Y) has Y-degree
+    at most its root's multiplicity in the parent's, so no level outgrows
+    deg_Y(h) and the count stays 0: the cap is a guard.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    level = _rr_levels(h, depth, cap=max(len(h.ycoeffs) - 1, 1))
-    return [SyndromeBranch(prefix) for _, prefix in level]
+    level, dropped = _rr_levels(h, depth, cap=max(len(h.ycoeffs) - 1, 1))
+    return SyndromeBranches([SyndromeBranch(prefix) for _, prefix in level], dropped)
 
 
 def polynomial_y_roots(q: BiPoly, depth: int) -> list[UniPoly]:
     """All f with deg f < depth and q(X, f(X)) = 0, by full Roth-Ruckenstein."""
     roots = []
-    for m, prefix in _rr_levels(q, depth):
+    for m, prefix in _rr_levels(q, depth)[0]:
         if m.ycoef(0).is_zero:  # m(X, 0) = 0, so the prefix is a Y-root
             roots.append(UniPoly(q.field, prefix))
     return roots
@@ -264,12 +277,13 @@ def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[in
 
 def factor_reduced(
     h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int
-) -> list[CandidateMessage]:
+) -> tuple[list[CandidateMessage], int]:
     """Full pipeline per branch; rejected branches keep their status.
 
     Accepted candidates with equal f are merged, keeping every branch index.
     tau beyond k is allowed (2k syndromes always suffice, extras are just
-    more convolution checks); tau < 1 is rejected.
+    more convolution checks); tau < 1 is rejected. Returns the candidates
+    and the number of RR branches the live-branch cap dropped.
     """
     if tau < 1:
         raise ValueError(f"tau={tau} must be >= 1")
@@ -300,4 +314,4 @@ def factor_reduced(
         cand = CandidateMessage(msg, ACCEPTED, pair.sigma, pair.omega, locations, errors, [idx])
         by_f[key] = cand
         out.append(cand)
-    return out
+    return out, branches.dropped

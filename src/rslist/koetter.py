@@ -4,7 +4,28 @@ Solves the weighted-degree-minimal interpolation problem: given points
 (x_i, y_i) with multiplicities m_i and the code dimension k, find a nonzero
 Q(X, Y) vanishing to order m_i at every point with minimal (1, k-1)-weighted
 degree. The engine is parameterized by monomial order, initial basis and
-discrepancy so the reduced variant can reuse it.
+point class (standard or T*), so the reduced variant reuses it.
+
+Inside the constraint loop the r+1 basis polynomials are one BasisTensor:
+an (r+1, r+1, D) int32 array whose entry [j, l, i] is the X^i Y^l
+coefficient of G_j, an (r+1, r+1) array of trimmed row lengths, and a
+capacity D that is doubled on demand. A constraint's discrepancies for all
+polynomials are one log/antilog gather of the coefficients against the
+point's weights x^(i - s) y^(l - b) on the odd-binomial slots, then an
+XOR-reduce. The update adds ratio * pivot to the other live polynomials and
+multiplies the pivot by (X - x). BiPolys are built only for trace rows and
+for the returned state.
+
+Counts are charged analytically from the row lengths, and they are exactly
+what the dense per-polynomial loop would charge under the convention in
+`galois.Field`'s docstring. That loop takes each discrepancy term by term:
+two multiplications and one fewer addition per odd-binomial term, the x-
+and y-powers it needs, and at a T* point a dense multiply or divide by
+(X - x)^(v - l) first. Its update charges one multiplication per ratio, a
+scale of the pivot per other live polynomial, one addition per overlapping
+slot of each sum and the pivot's (X - x) product. `ConstraintPoint.charge`
+and `update_basis` spell the rules out, and tests/reference_koetter.py keeps
+that loop to hold the engine to them.
 """
 
 from __future__ import annotations
@@ -14,7 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .galois import Field
-from .polynomials import BiPoly, MonomialOrder
+from .polynomials import BiPoly, InexactDivision, MonomialOrder, UniPoly
 
 
 class DuplicatePoint(ValueError):
@@ -126,41 +147,6 @@ class BasisState:
             keys.add(key)
 
 
-def update_basis(state: BasisState, x: int, discrepancy_fn) -> BasisState:
-    """One constraint step at a point on X = x: discrepancy_fn(G) = 0 imposed on the basis.
-
-    `discrepancy_fn(p)` gives the constraint's coefficient for one basis
-    polynomial p, e.g. coef(p(X+x, Y+y); X^a Y^b). If every discrepancy is
-    zero the state is returned unchanged. Otherwise the order-least
-    polynomial with nonzero discrepancy becomes the pivot: it corrects the
-    others and is itself multiplied by (X - x).
-    """
-    polys = state.polys
-    if not polys:
-        return state
-    f = polys[0].field
-    deltas = [discrepancy_fn(p) for p in polys]
-    live = [j for j, d in enumerate(deltas) if d != 0]
-    if not live:
-        return state
-    keys = sorted((state.order.key(*state.leadings[j]), j) for j in live)
-    if len(live) > 1 and keys[0][0] == keys[1][0]:
-        raise AssertionError("pivot tie: leading monomials not distinct")
-    t = keys[0][1]
-    inv_dt = f.inv(deltas[t])
-    new_polys = list(polys)
-    new_leadings = list(state.leadings)
-    for j in live:
-        if j == t:
-            continue
-        ratio = f.mul(deltas[j], inv_dt)
-        new_polys[j] = polys[j] + polys[t].scale(ratio)
-    new_polys[t] = polys[t].mul_linear_x(x)
-    la, lb = state.leadings[t]
-    new_leadings[t] = (la + 1, lb)
-    return BasisState(new_polys, state.order, new_leadings)
-
-
 @dataclass
 class TraceRow:
     x: int
@@ -192,36 +178,6 @@ def format_trace_row(f: Field, row: "TraceRow") -> str:
     return f"{pt} | {polys}"
 
 
-def _max_x_degree(state: BasisState) -> int:
-    return max(
-        (c.coeffs.size - 1 for p in state.polys for c in p.ycoeffs if not c.is_zero),
-        default=0,
-    )
-
-
-class PowerCache:
-    """Per-point powers of x, grown on demand; counts only newly computed entries."""
-
-    def __init__(self, f: Field, x: int) -> None:
-        self.field = f
-        self.x = x
-        self.arr = np.ones(1, dtype=np.int32)
-
-    def upto(self, n: int) -> np.ndarray:
-        if self.arr.size <= n:
-            old = self.arr.size
-            f = self.field
-            f.counter.multiplications += n + 1 - old
-            out = np.zeros(n + 1, dtype=np.int32)
-            out[:old] = self.arr
-            if self.x != 0:
-                lx = int(f.log[self.x])
-                idx = np.arange(old, n + 1, dtype=np.int64)
-                out[old:] = f.exp[(lx * idx) % (f.q - 1)]
-            self.arr = out
-        return self.arr
-
-
 def constraint_schedule(mult: int):
     """The (a, b) order for one point: a outer ascending, b inner ascending."""
     for a in range(mult):
@@ -229,41 +185,269 @@ def constraint_schedule(mult: int):
             yield a, b
 
 
-def standard_discrepancy(f: Field, r: int):
-    """Discrepancy builder for coef(G(X+x, Y+y); X^a Y^b) on a basis up to Y^r.
+MIN_WIDTH = 8  # initial capacity of the basis tensor's X axis
+GATHER_BLOCK = 1 << 15  # entries per block of a discrepancy gather
 
-    Called once per point; the powers of x and y it prepares are shared by
-    that point's constraints, the x-powers grown on demand to the basis's
-    X-degree at each constraint.
+
+class BasisTensor:
+    """The basis inside the constraint loop: coeffs[j, l, i] is the X^i Y^l coefficient of G_j.
+
+    sizes[j, l] is the trimmed length of that row, 0 for a zero row, and the
+    slots from it on are zero. The last axis is a capacity that is doubled
+    whenever the pivot's shift by X would overflow it.
     """
 
-    def at_point(pt: InterpolationPoint):
-        xcache = PowerCache(f, pt.x)
-        ypow = f.vpowers(pt.y, r) if pt.y else None
+    __slots__ = ("field", "order", "coeffs", "sizes", "leadings")
 
-        def at_constraint(state: BasisState, a: int, b: int):
-            xpow = xcache.upto(max(_max_x_degree(state) - a, 0))
-            return lambda p: p.shifted_coef(pt.x, pt.y, a, b, xpowers=xpow, ypowers=ypow)
+    def __init__(self, state: BasisState) -> None:
+        n = len(state.polys)
+        self.field = state.polys[0].field
+        self.order = state.order
+        self.leadings = list(state.leadings)
+        self.sizes = np.array([[p.ycoef(l).coeffs.size for l in range(n)] for p in state.polys], dtype=np.int64)
+        width = MIN_WIDTH
+        while width <= self.sizes.max():
+            width *= 2
+        self.coeffs = np.zeros((n, n, width), dtype=np.int32)
+        for j, p in enumerate(state.polys):
+            for l, c in enumerate(p.ycoeffs):
+                self.coeffs[j, l, : c.coeffs.size] = c.coeffs
 
-        return at_constraint
+    def state(self) -> BasisState:
+        f = self.field
+        polys = [
+            BiPoly(f, [UniPoly(f, self.coeffs[j, l, :s].copy()) for l, s in enumerate(row)])
+            for j, row in enumerate(self.sizes)
+        ]
+        return BasisState(polys, self.order, self.leadings)
 
-    return at_point
+
+def _slot_weights(f: Field, x: int, s, width: int):
+    """The slots i < width with C(i, s) odd, and the logs of x^(i - s) there.
+
+    `s` is one offset for every row, or a column of per-row offsets; then the
+    weights are per row, the zero sentinel at a row's even-binomial slots.
+    The slots come back as a slice when they run to `width`. The logs are
+    reduced below q - 1, so one coefficient log may be added to them inside
+    `exp`.
+    """
+    q1 = f.q - 1
+    slots = np.arange(max(np.min(s), 0), width)
+    e = slots - s
+    keep = (e >= 0) & ((slots & s) == s)
+    if x == 0:
+        keep &= e == 0
+    cols = keep.any(0) if keep.ndim == 2 else keep
+    if not cols.all():
+        slots, e, keep = slots[cols], e[..., cols], keep[..., cols]
+    elif slots.size:
+        slots = slice(slots[0], None)
+    lx = int(f.log[x]) if x else 0
+    return slots, np.where(keep, e * lx % q1, 2 * q1).astype(np.int32)
 
 
-def run_constraints(state: BasisState, points, discrepancy_at, trace: list[TraceRow] | None) -> BasisState:
+def _gather(f: Field, coeffs: np.ndarray, rows: np.ndarray, slots, weights: np.ndarray, width: int) -> np.ndarray:
+    """Per polynomial j and row p: XOR over the slots of coeffs[j, rows[p], slot] times its weight.
+
+    The rows go in blocks of about GATHER_BLOCK entries, which bounds the
+    temporaries.
+    """
+    n = len(coeffs)
+    step = max(GATHER_BLOCK // (n * weights.shape[-1] or 1), 1)
+    out = np.empty((n, rows.size), dtype=np.int32)
+    for i in range(0, rows.size, step):
+        logs = np.take(f.log, coeffs[:, rows[i : i + step], :width][..., slots])
+        logs += weights if weights.ndim == 1 else weights[i : i + step]
+        out[:, i : i + step] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
+    return out
+
+
+def _odd_binomial_counts(a: int, top: int) -> np.ndarray:
+    """c[n] = #{i < n : C(i, a) odd} for n <= top."""
+    return np.concatenate(([0], np.cumsum((np.arange(top) & a) == a)))
+
+
+class ConstraintPoint:
+    """One point's data for its constraints, and the per-point counts.
+
+    `v` is None at a standard point. At a T* point of the reduced problem
+    it is the multiplicity of the re-encoding point at x, and the
+    discrepancy is taken on (X - x)^v G(X, Y / (X - x)): in characteristic 2
+    that is the standard gather with the row offset a - v + l in place of a,
+    valid once every row l > v is divisible by (X - x)^(l - v).
+
+    Construction charges the per-point setup: r multiplications for the
+    powers of y != 0 and, at a T* point, the powers (X - x)^i for
+    i <= max(v, r - v, 1), built one linear factor at a time.
+    """
+
+    __slots__ = ("x", "y", "v", "xpowers", "check_rows", "check_orders")
+
+    def __init__(self, f: Field, pt: InterpolationPoint, r: int, v: int | None = None) -> None:
+        self.x, self.y, self.v = pt.x, pt.y, v
+        self.xpowers = 1  # a standard point's x-powers charged so far: x^0
+        ctr = f.counter
+        if pt.y:
+            ctr.multiplications += r
+        pairs = []
+        if v is not None:
+            top = max(v, r - v, 1)
+            ctr.multiplications += top * (top + 1) // 2
+            pairs = [(l, s) for l in range(v + 1, r + 1) for s in range(l - v)]
+        self.check_rows = np.array([l for l, _ in pairs], dtype=np.int64)
+        self.check_orders = np.array([s for _, s in pairs], dtype=np.int64)
+
+    def check_divisible(self, f: Field, coeffs: np.ndarray, width: int) -> None:
+        """At a T* point, raise InexactDivision unless (X - x)^(l - v) divides every row l > v.
+
+        That is, the Hasse derivatives at x of the orders below l - v vanish.
+        """
+        step = max(GATHER_BLOCK // width, 1)  # (row, order) pairs per block
+        for i in range(0, self.check_rows.size, step):
+            rows = self.check_rows[i : i + step]
+            slots, weights = _slot_weights(f, self.x, self.check_orders[i : i + step, None], width)
+            hasse = _gather(f, coeffs, rows, slots, weights, width)
+            if hasse.any():
+                j, p = np.argwhere(hasse)[0]
+                raise InexactDivision(f"row Y^{rows[p]} of G{j} not divisible by (X + {self.x})^{rows[p] - self.v}")
+
+    def discrepancies(self, f: Field, coeffs: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
+        """coef(P(X+x, Y+y); X^a Y^b) for every basis polynomial, P as in the class docstring.
+
+        Sum over the rows l >= b with C(l, b) odd of y^(l - b) times the
+        row's Hasse derivative of order s_l at x: one gather over the rows'
+        odd-binomial slots, then one over the rows.
+        """
+        rows = np.arange(len(coeffs))
+        s = a if self.v is None else rows + (a - self.v)
+        keep = (s >= 0) & (rows >= b) & ((rows & b) == b)
+        if self.y == 0:
+            keep &= rows == b
+        rows = rows[keep]
+        if not rows.size:
+            return np.zeros(len(coeffs), dtype=np.int32)
+        if self.v is not None:
+            s = s[keep, None]
+        slots, weights = _slot_weights(f, self.x, s, width)
+        hasse = _gather(f, coeffs, rows, slots, weights, width)
+        ly = int(f.log[self.y]) if self.y else 0
+        return np.bitwise_xor.reduce(f.exp[f.log[hasse] + (rows - b) * ly % (f.q - 1)], axis=1)
+
+    def charge(self, f: Field, sizes: np.ndarray, a: int, b: int) -> None:
+        """Charge what the per-polynomial loop charges for constraint (a, b)'s discrepancies.
+
+        That loop takes coef(P(X+x, Y+y); X^a Y^b) of one polynomial P at a
+        time, P = G at a standard point and the transformed G at a T* one.
+        A standard point charges its x-powers on demand, up to the basis's
+        X-degree minus a. A T* point multiplies each nonzero row of G by
+        (X - x)^(v - l), or divides it by (X - x)^(l - v), densely, then
+        charges the transformed polynomial's x-powers up to its X-degree
+        minus a. Every P with Y-degree >= b charges, at y = 0, the y-powers
+        up to its Y-degree minus b, and on each row l >= b with C(l, b) odd,
+        two multiplications and one fewer addition per slot i >= a with
+        C(i, a) odd.
+        """
+        n = len(sizes)
+        ell = np.arange(n)
+        nonzero = sizes > 0
+        ydeg = np.where(nonzero.any(1), n - 1 - nonzero[:, ::-1].argmax(1), -1)
+        has = ydeg >= b
+        mults = 0
+        if self.v is None:
+            lengths = sizes
+            top = max(int(sizes.max()) - 1 - a, 0)
+            if top >= self.xpowers:
+                mults += top + 1 - self.xpowers
+                self.xpowers = top + 1
+        else:
+            d = self.v - ell
+            mults += int(np.where(d >= 0, sizes * (d + 1), (sizes + d) * (2 - d))[nonzero].sum())
+            lengths = np.where(nonzero, sizes + d, 0)
+            mults += int(np.maximum(lengths.max(1) - 1 - a, 0)[has].sum())
+        if self.y == 0:
+            mults += int((ydeg - b)[has].sum())
+        terms = _odd_binomial_counts(a, int(lengths.max()))[lengths]
+        terms[:, (ell < b) | ((ell & b) != b)] = 0
+        total = int(terms.sum())
+        ctr = f.counter
+        ctr.multiplications += mults + 2 * total
+        ctr.additions += total - int(np.count_nonzero(terms))
+
+
+def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> bool:
+    """Impose constraint (a, b) of `point` on every basis polynomial at once; True if the basis changed.
+
+    A T* point first checks the divisibility its transform needs. The
+    discrepancies are one log/antilog gather of the coefficients against
+    the point's weights, XOR-reduced per polynomial. If all are zero nothing
+    changes. Otherwise the order-least polynomial with nonzero discrepancy
+    is the pivot: the others gain ratio * pivot, and the pivot is
+    multiplied by (X - x). Per other live polynomial that charges one
+    multiplication for its ratio, the pivot's length for the scaling and,
+    as additions, the overlap of the two polynomials' rows; the pivot's
+    product charges its length again.
+    """
+    f = basis.field
+    coeffs, sizes = basis.coeffs, basis.sizes
+    width = int(sizes.max())
+    point.check_divisible(f, coeffs, width)
+    point.charge(f, sizes, a, b)
+    deltas = point.discrepancies(f, coeffs, a, b, width)
+    live = np.flatnonzero(deltas)
+    if not live.size:
+        return False
+    keys = sorted((basis.order.key(*basis.leadings[j]), int(j)) for j in live)
+    if len(keys) > 1 and keys[0][0] == keys[1][0]:
+        raise AssertionError("pivot tie: leading monomials not distinct")
+    t = keys[0][1]
+    others = np.array([j for _, j in keys[1:]], dtype=np.int64)
+    pivot_size = int(sizes[t].sum())
+    ctr = f.counter
+    ctr.multiplications += others.size * (1 + pivot_size) + pivot_size
+    ctr.additions += int(np.minimum(sizes[others], sizes[t]).sum())
+    wt = int(sizes[t].max())
+    logt = np.take(f.log, coeffs[t, :, :wt])
+    if others.size:
+        ratios = (f.log[deltas[others]] - f.log[deltas[t]]) % (f.q - 1)
+        for j, ratio in zip(others, ratios):
+            coeffs[j, :, :wt] ^= np.take(f.exp, logt + ratio)
+        # a row keeps the longer length unless both had the same one: then trim it
+        old = sizes[others]
+        sizes[others] = np.maximum(old, sizes[t])
+        js, ls = np.nonzero((old == sizes[t]) & (old > 0))
+        if js.size:
+            nonzero = coeffs[others[js], ls, :wt] != 0
+            sizes[others[js], ls] = np.where(nonzero.any(1), wt - nonzero[:, ::-1].argmax(1), 0)
+    if wt == coeffs.shape[2]:
+        coeffs = basis.coeffs = np.concatenate((coeffs, np.zeros_like(coeffs)), axis=2)
+    coeffs[t, :, 1 : wt + 1] = coeffs[t, :, :wt]
+    coeffs[t, :, 0] = 0
+    coeffs[t, :, :wt] ^= np.take(f.exp, logt + f.log[point.x])
+    sizes[t] += sizes[t] > 0
+    la, lb = basis.leadings[t]
+    basis.leadings[t] = (la + 1, lb)
+    return True
+
+
+def run_constraints(
+    state: BasisState, points, trace: list[TraceRow] | None, v: dict[int, int] | None = None
+) -> BasisState:
     """Impose every constraint of `points` on the basis, in schedule order.
 
-    `discrepancy_at(point)` returns a function of (state, a, b) that gives
-    the discrepancy of constraint (a, b) as a function of one polynomial.
-    One TraceRow per constraint is appended to `trace` unless it is None.
+    A point whose x is a key of `v` is a T* point with multiplicity v[x]
+    (see ConstraintPoint); the others are standard. The loop runs on a
+    BasisTensor; BiPolys are built for the returned state and, unless
+    `trace` is None, for the one TraceRow appended per constraint.
     """
+    basis = BasisTensor(state)
+    r = len(state.polys) - 1
     for pt in points:
-        disc = discrepancy_at(pt)
+        point = ConstraintPoint(basis.field, pt, r, v.get(pt.x) if v else None)
         for a, b in constraint_schedule(pt.mult):
-            state = update_basis(state, pt.x, disc(state, a, b))
+            update_basis(basis, point, a, b)
             if trace is not None:
-                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(state)))
-    return state
+                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(basis.state())))
+    return basis.state()
 
 
 def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveResult:
@@ -281,5 +465,5 @@ def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveRe
     order = MonomialOrder.weighted(problem.k)
     state = BasisState([BiPoly.y_power(f, j) for j in range(r + 1)], order)
     trace: list[TraceRow] | None = [] if collect_trace else None
-    state = run_constraints(state, problem.points, standard_discrepancy(f, r), trace)
+    state = run_constraints(state, problem.points, trace)
     return SolveResult(state.minimal(), state, n_cons, dstar, r, trace)

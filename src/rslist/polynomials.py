@@ -309,10 +309,6 @@ class BiPoly:
     def scale_poly(self, p: UniPoly) -> "BiPoly":
         return BiPoly(self.field, [c.mul(p) for c in self.ycoeffs])
 
-    def mul_linear_x(self, c: int) -> "BiPoly":
-        """Multiply by (X + c)."""
-        return BiPoly(self.field, [u.mul_linear(c) for u in self.ycoeffs])
-
     def shift_y(self) -> "BiPoly":
         """Multiply by Y."""
         if self.is_zero:
@@ -374,45 +370,6 @@ class BiPoly:
                 if t.ycoef(j).coef(m - j):
                     return m
         return max_i + len(t.ycoeffs) + 1  # unreachable for nonzero p
-
-    def shifted_coef(
-        self,
-        x: int,
-        y: int,
-        a: int,
-        b: int,
-        xpowers: np.ndarray | None = None,
-        ypowers: np.ndarray | None = None,
-    ) -> int:
-        """coef(p(X+x, Y+y); X^a Y^b) without materializing the full shift.
-
-        Term-by-term accumulation of c_{i,j} x^(i-a) y^(j-b) over the slots
-        whose binomial coefficients are odd; two multiplications per term.
-        """
-        f = self.field
-        ydeg = len(self.ycoeffs) - 1
-        if ydeg < b:
-            return 0
-        if ypowers is None:
-            ypowers = f.vpowers(y, ydeg - b)
-        if xpowers is None:
-            maxdeg = max((c.coeffs.size - 1 for c in self.ycoeffs if not c.is_zero), default=0)
-            xpowers = f.vpowers(x, max(maxdeg - a, 0))
-        total = 0
-        for j in range(b, ydeg + 1):
-            if (j & b) != b:
-                continue
-            c = self.ycoeffs[j]
-            deg = c.coeffs.size - 1
-            if c.is_zero or deg < a:
-                continue
-            idx = np.arange(a, deg + 1, dtype=np.int64)
-            sel = idx[(idx & a) == a]
-            prod = f.vmul(c.coeffs[sel], xpowers[sel - a])
-            terms = f.vmul(prod, int(ypowers[j - b]))
-            f.counter.additions += max(terms.size - 1, 0)
-            total ^= int(np.bitwise_xor.reduce(terms)) if terms.size else 0
-        return total
 
     def sub_y_shift(self, e: UniPoly) -> "BiPoly":
         """p(X, Y + e(X)); self-inverse in characteristic 2."""

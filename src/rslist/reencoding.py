@@ -23,7 +23,6 @@ from .koetter import (
     delta_star,
     n_constraints,
     run_constraints,
-    standard_discrepancy,
 )
 from .polynomials import ORDER_REDUCED, BiPoly, UniPoly, lagrange_interpolate
 
@@ -126,53 +125,6 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
     return ReducedContext(f, g, psi, tails, v, s_star, t_star, r)
 
 
-def _transformed_basis_poly(poly: BiPoly, x: int, vi: int, xp_powers: list[UniPoly]) -> BiPoly:
-    """(X - x)^vi * poly(X, Y / (X - x)) as a polynomial.
-
-    The Y^l coefficient is multiplied by (X - x)^(vi - l), or exactly divided
-    by (X - x)^(l - vi) when l > vi; inexact division means the basis lost
-    its tail-divisibility structure.
-    """
-    f = poly.field
-    rows = []
-    for ell, c in enumerate(poly.ycoeffs):
-        d = vi - ell
-        if c.is_zero:
-            rows.append(c)
-        elif d >= 0:
-            rows.append(c.mul(xp_powers[d]))
-        else:
-            rows.append(c.exact_div(xp_powers[-d]))
-    return BiPoly(f, rows)
-
-
-def _transformed_discrepancy(ctx: ReducedContext, r: int):
-    """Discrepancy builder for T* points.
-
-    The discrepancy of G at a T* point is the standard one taken on
-    (X - x)^v * G(X, Y / (X - x)), v the multiplicity of the re-encoding
-    point at x; the x-powers are recomputed per polynomial.
-    """
-    f = ctx.field
-
-    def at_point(pt: InterpolationPoint):
-        vi = ctx.v[pt.x]
-        max_pow = max(vi, r - vi, 1)
-        xp_powers = [UniPoly.one(f)]
-        for _ in range(max_pow):
-            xp_powers.append(xp_powers[-1].mul_linear(pt.x))
-        ypow = f.vpowers(pt.y, r) if pt.y else None
-
-        def at_constraint(state: BasisState, a: int, b: int):
-            return lambda p: _transformed_basis_poly(p, pt.x, vi, xp_powers).shifted_coef(
-                pt.x, pt.y, a, b, ypowers=ypow
-            )
-
-        return at_constraint
-
-    return at_point
-
-
 def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:
     """Koetter engine on the reduced problem.
 
@@ -188,8 +140,7 @@ def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResu
         polys.append(BiPoly(f, rows))
     state = BasisState(polys, ORDER_REDUCED)
     trace: list[TraceRow] | None = [] if collect_trace else None
-    state = run_constraints(state, ctx.s_star, standard_discrepancy(f, r), trace)
-    state = run_constraints(state, ctx.t_star, _transformed_discrepancy(ctx, r), trace)
+    state = run_constraints(state, ctx.s_star + ctx.t_star, trace, ctx.v)
     n_red = ctx.reduced_constraints()
     return SolveResult(state.minimal(), state, n_red, -1, r, trace)
 

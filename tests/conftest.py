@@ -142,7 +142,7 @@ def random_bipoly(f, rng, max_xdeg, max_ydeg, nonzero=True):
 
 
 def random_planted_problem(rng, fields, max_n=15, max_k=5, max_constraints=12, max_mult=2):
-    """A small instance with a planted message; may carry errors and repeated x's."""
+    """A small instance with a planted message on distinct nonzero x's; may carry errors."""
     f = rng.choice(fields)
     k = rng.randint(2, max_k)
     nonzero = f.all_elements()[1:]
@@ -164,4 +164,36 @@ def random_planted_problem(rng, fields, max_n=15, max_k=5, max_constraints=12, m
         budget -= m * (m + 1) // 2
     if len(points) < k:
         return random_planted_problem(rng, fields, max_n, max_k, max_constraints, max_mult)
+    return InterpolationProblem(f, points, k), fpoly
+
+
+def random_repeated_x_problem(rng, fields, max_k=4, max_constraints=20):
+    """A small planted instance whose x's repeat, so the reduced path meets T* points.
+
+    Each x (zero included) carries 1 to 3 points with distinct y's and
+    multiplicities 1 to 3; usually one of them is the planted message's
+    value. Redrawn until there are at least k distinct nonzero x's.
+    """
+    f = rng.choice(fields)
+    k = rng.randint(2, max_k)
+    xs = rng.sample(f.all_elements(), rng.randint(k, min(k + 3, f.q)))
+    fpoly = UniPoly(f, [rng.randrange(f.q) for _ in range(k)])
+    points = []
+    budget = max_constraints
+    for x in xs:
+        truth = fpoly.eval_at(x)
+        wrong = [y for y in range(f.q) if y != truth]
+        ys = rng.sample(wrong, rng.randint(0, 2))
+        if rng.random() < 0.85 or not ys:
+            ys.insert(rng.randint(0, len(ys)), truth)
+        for y in ys:
+            m = rng.randint(1, 3)
+            if m * (m + 1) // 2 > budget:
+                m = 1
+            if budget <= 0:
+                break
+            points.append(InterpolationPoint(x, y, m))
+            budget -= m * (m + 1) // 2
+    if len({p.x for p in points if p.x}) < k:
+        return random_repeated_x_problem(rng, fields, max_k, max_constraints)
     return InterpolationProblem(f, points, k), fpoly

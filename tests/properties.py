@@ -136,7 +136,7 @@ def check_reduced_point_multiplicity_maps(rng, fields, cases):
     for alpha = x_i it equals the multiplicity of the materialized
     (X - x_i)^v_i H(X, Y/(X - x_i)) at (alpha, beta/g'(alpha)).
     """
-    from rslist.reencoding import _transformed_basis_poly
+    from reference_koetter import _transformed_basis_poly
 
     for _ in range(cases):
         f = rng.choice(fields)

@@ -9,7 +9,7 @@ from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star,
 from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures
 
-from conftest import random_planted_problem
+from conftest import random_planted_problem, random_repeated_x_problem
 
 
 def counts(report):
@@ -82,11 +82,11 @@ class TestReduced:
         assert checked.accepted_set() == plain.accepted_set()
 
 
-def assert_paths_agree(rng, fields, count):
+def assert_paths_agree(rng, fields, count, generator=random_planted_problem):
     """Both paths accept the same set on `count` planted problems; TooManyErasures is skipped."""
     done = 0
     while done < count:
-        prob, _ = random_planted_problem(rng, fields)
+        prob, _ = generator(rng, fields)
         try:
             direct = decode_direct(prob)
             reduced = decode_reduced(prob, tau=prob.k)
@@ -99,6 +99,10 @@ def assert_paths_agree(rng, fields, count):
 class TestCrossPath:
     def test_small_random_instances(self, gf8, gf16):
         assert_paths_agree(random.Random(33), [gf8, gf16], 30)
+
+    def test_repeated_x_instances(self, gf8, gf16):
+        # shared x's put T* points into the reduced problem
+        assert_paths_agree(random.Random(37), [gf8, gf16], 60, random_repeated_x_problem)
 
     def test_gf1024_instances(self):
         # m > 4 end to end
@@ -218,3 +222,13 @@ def test_report_json_shape(gf8, worked_problem):
     assert obj["stats"]["reduced_constraints"] == 5
     statuses = {c["status"] for c in obj["candidates"]}
     assert "accepted" in statuses
+
+
+def test_dropped_branches_reported_zero(gf8, gf16, worked_problem, shifted_problem):
+    for problem in (worked_problem, shifted_problem):
+        for report in (decode_reduced(problem, tau=4), decode_direct(problem)):
+            assert report.to_json(gf8)["stats"]["dropped_branches"] == 0
+    rng = random.Random(38)
+    for _ in range(20):
+        prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
+        assert decode_reduced(prob, tau=prob.k).dropped_branches == 0

@@ -10,6 +10,7 @@ from rslist.factorization import (
     INSUFFICIENT_ROOTS,
     ZERO_ERROR_VALUE,
     SyndromeBranch,
+    _rr_levels,
     berlekamp_massey,
     corrected_message,
     error_values,
@@ -81,6 +82,25 @@ class TestPowerSeries:
         h = BiPoly(gf8, [r1.mul(r2), r1 + r2, UniPoly.one(gf8)])
         branches = rr_power_series(h, 4)
         assert len(branches) <= 2
+
+    def test_cap_drops_are_counted(self, gf8):
+        # two rational roots under a cap of one: the second branch is cut at every level
+        r1 = UniPoly(gf8, [0, gf8.from_exponent(2)])
+        r2 = UniPoly(gf8, [0, gf8.from_exponent(4)])
+        h = BiPoly(gf8, [r1.mul(r2), r1 + r2, UniPoly.one(gf8)])
+        assert len(_rr_levels(h, 4)[0]) == 2 and _rr_levels(h, 4)[1] == 0
+        level, dropped = _rr_levels(h, 4, cap=1)
+        assert len(level) == 1 and dropped > 0
+
+    def test_deg_y_cap_never_binds(self, gf8):
+        # a child's m(0, Y) has Y-degree at most its root's multiplicity in the
+        # parent's, so no level outgrows deg_Y(h) and the cap drops nothing
+        rng = random.Random(19)
+        for _ in range(200):
+            rows = [[c if rng.random() < 0.4 else 0 for c in random_unipoly(gf8, rng, 4).coeffs] for _ in range(4)]
+            h = BiPoly.from_arrays(gf8, rows)
+            if not h.is_zero:
+                assert rr_power_series(h, 5).dropped == 0
 
 
 class TestBerlekampMassey:
@@ -263,7 +283,7 @@ class TestCorrectedMessage:
 class TestFactorReduced:
     def test_worked_problemd(self, gf8, worked_h, worked_ctx, worked_rset):
         a = gf8.from_exponent
-        cands = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
+        cands, _ = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert {tuple(c.f.to_json()) for c in accepted} == {(a(5), a(6)), (a(6), a(2))}
         by_f = {tuple(c.f.to_json()): c for c in accepted}
@@ -275,7 +295,7 @@ class TestFactorReduced:
         assert witherr.error_positions == [1] and witherr.error_values == {1: a(4)}
 
     def test_pure_y_gives_e(self, gf8, worked_ctx, worked_rset):
-        cands = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
+        cands, _ = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert len(accepted) == 1
         assert accepted[0].f == worked_rset.e_poly

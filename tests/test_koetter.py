@@ -1,10 +1,14 @@
+import dataclasses
 import random
 
 import pytest
 
 from rslist.galois import OpCounter
 from rslist.koetter import (
+    MIN_WIDTH,
     BasisState,
+    BasisTensor,
+    ConstraintPoint,
     DuplicatePoint,
     InterpolationPoint,
     InterpolationProblem,
@@ -15,10 +19,12 @@ from rslist.koetter import (
     solve,
     update_basis,
 )
-from rslist.polynomials import BiPoly, MonomialOrder, UniPoly
+from rslist.polynomials import BiPoly, InexactDivision, MonomialOrder, UniPoly
+from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 import golden_tables as gt
-from conftest import random_planted_problem
+import reference_koetter
+from conftest import random_planted_problem, random_repeated_x_problem
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
 
@@ -73,46 +79,63 @@ class TestFormulas:
 class TestUpdateBasis:
     def make_initial(self, gf8, r=3, k=2):
         order = MonomialOrder.weighted(k)
-        return BasisState([BiPoly.y_power(gf8, j) for j in range(r + 1)], order)
+        return BasisTensor(BasisState([BiPoly.y_power(gf8, j) for j in range(r + 1)], order))
+
+    def at(self, basis, x, y, mult=1):
+        return ConstraintPoint(basis.field, InterpolationPoint(x, y, mult), len(basis.sizes) - 1)
 
     def test_first_constraint_of_worked_instance(self, gf8):
         a = gf8.from_exponent
-        state = self.make_initial(gf8)
-        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), a(4), 0, 0))
-        got = {j: state.polys[j].to_text() for j in range(4)}
+        basis = self.make_initial(gf8)
+        assert update_basis(basis, self.at(basis, a(1), a(4), 2), 0, 0)
+        got = {j: p.to_text() for j, p in enumerate(basis.state().polys)}
         want = dict(gt.TABLE_DIRECT[0][3])
         assert got == want
 
     def test_all_zero_discrepancies_noop(self, gf8):
-        state = self.make_initial(gf8)
-        same = update_basis(state, 3, lambda p: 0)
-        assert same is state
+        basis = self.make_initial(gf8)
+        assert update_basis(basis, self.at(basis, 3, 5), 0, 0)
+        before = (basis.coeffs.copy(), basis.sizes.copy(), list(basis.leadings))
+        assert not update_basis(basis, self.at(basis, 3, 5), 0, 0)
+        assert (basis.coeffs == before[0]).all() and (basis.sizes == before[1]).all()
+        assert basis.leadings == before[2]
 
     def test_shifted_problem_second_constraint(self, gf8):
         a = gf8.from_exponent
-        state = self.make_initial(gf8)
-        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), 0, 0, 0))
-        state = update_basis(state, a(1), lambda p: p.shifted_coef(a(1), 0, 0, 1))
-        assert state.polys[1].to_text() == "(a + X)*Y"
-        assert state.polys[0].to_text() == "(a + X)"
-        assert state.polys[2] == BiPoly.y_power(gf8, 2)
-        assert state.polys[3] == BiPoly.y_power(gf8, 3)
+        basis = self.make_initial(gf8)
+        point = self.at(basis, a(1), 0, 2)
+        update_basis(basis, point, 0, 0)
+        update_basis(basis, point, 0, 1)
+        polys = basis.state().polys
+        assert polys[1].to_text() == "(a + X)*Y"
+        assert polys[0].to_text() == "(a + X)"
+        assert polys[2] == BiPoly.y_power(gf8, 2)
+        assert polys[3] == BiPoly.y_power(gf8, 3)
 
     def test_exactly_one_leading_gains_x_degree(self, gf8):
         rng = random.Random(17)
-        state = self.make_initial(gf8)
+        basis = self.make_initial(gf8)
         for _ in range(6):
             x, y = rng.randrange(1, 8), rng.randrange(8)
-            before = list(state.leadings)
-            after_state = update_basis(state, x, lambda p: p.shifted_coef(x, y, 0, 0))
-            if after_state is state:
+            before = list(basis.leadings)
+            if not update_basis(basis, self.at(basis, x, y), 0, 0):
                 continue
-            after = after_state.leadings
+            after = basis.leadings
             grew = [j for j in range(4) if after[j] == (before[j][0] + 1, before[j][1])]
             same = [j for j in range(4) if after[j] == before[j]]
             assert len(grew) == 1 and len(same) == 3
-            after_state.validate()
-            state = after_state
+            basis.state().validate()
+
+    def test_capacity_doubles_past_min_width(self, gf8):
+        basis = self.make_initial(gf8, r=0)
+        point = self.at(basis, 3, 5, MIN_WIDTH + 2)
+        for a in range(MIN_WIDTH + 1):
+            assert update_basis(basis, point, a, 0)
+        assert basis.coeffs.shape[2] == 2 * MIN_WIDTH
+        want = UniPoly.one(gf8)
+        for _ in range(MIN_WIDTH + 1):
+            want = want.mul_linear(3)
+        assert basis.state().polys == [BiPoly(gf8, [want])]
 
 
 class TestSolve:
@@ -235,3 +258,75 @@ class TestSolve:
         res = solve(worked_problem, collect_trace=True)
         line = format_trace_row(gf8, res.trace[0])
         assert line == "(a, a^4) m=2 | G0 = (a + X) | G1 = Y + a^4 | G2 = Y^2 + a | G3 = Y^3 + a^5"
+
+
+class TestMatchesReferenceEngine:
+    """The tensor engine against the per-polynomial one in tests/reference_koetter.py.
+
+    Both must give the same minimal polynomial, the same trace text and the
+    same counters, and raise InexactDivision on the same inputs.
+    """
+
+    CASES = 60
+
+    def run(self, solver, f, arg):
+        """(minimal polynomial, trace text, counters) or "InexactDivision", and the result."""
+        ctr = OpCounter()
+        with f.count_into(ctr):
+            try:
+                res = solver(arg, collect_trace=True)
+            except InexactDivision:
+                return "InexactDivision", None
+        trace = [format_trace_row(f, row) for row in res.trace]
+        return (res.minimal.to_text(), trace, ctr.snapshot()), res
+
+    def assert_same(self, solver, reference, f, arg):
+        got, res = self.run(solver, f, arg)
+        assert got == self.run(reference, f, arg)[0]
+        return res
+
+    @staticmethod
+    def width(res):
+        return max(c.coeffs.size for p in res.basis.polys for c in p.ycoeffs)
+
+    def problems(self, seed, fields):
+        rng = random.Random(seed)
+        for i in range(self.CASES):
+            if i % 2:
+                yield random_repeated_x_problem(rng, fields)[0]
+            else:
+                yield random_planted_problem(rng, fields, max_constraints=20, max_mult=3)[0]
+
+    def test_direct_path(self, gf8, gf16):
+        crossed = zero_y = 0
+        for prob in self.problems(81, [gf8, gf16]):
+            res = self.assert_same(solve, reference_koetter.solve, prob.field, prob)
+            crossed += self.width(res) > MIN_WIDTH
+            zero_y += any(p.y == 0 for p in prob.points)
+        assert crossed >= 10 and zero_y >= 10
+
+    def test_reduced_path(self, gf8, gf16):
+        crossed = zero_y = t_star_mult_3 = 0
+        for prob in self.problems(82, [gf8, gf16]):
+            try:
+                _, ctx, _, _ = prepare_reduced(prob)
+            except TooManyErasures:
+                continue
+            res = self.assert_same(solve_reduced, reference_koetter.solve_reduced, prob.field, ctx)
+            crossed += self.width(res) > MIN_WIDTH
+            zero_y += any(p.y == 0 for p in ctx.s_star + ctx.t_star)
+            t_star_mult_3 += any(p.mult == 3 for p in ctx.t_star)
+        assert crossed >= 1 and zero_y >= 10 and t_star_mult_3 >= 3
+
+    def test_corrupted_tails_raise_alike(self, gf8, gf16):
+        # with every tail 1 the T* rows lose their divisibility, and both engines must notice
+        rng = random.Random(83)
+        raised = 0
+        for _ in range(self.CASES):
+            prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
+            _, ctx, _, _ = prepare_reduced(prob)
+            ctx = dataclasses.replace(ctx, tails=[UniPoly.one(prob.field)] * (ctx.r + 1))
+            got = self.run(solve_reduced, prob.field, ctx)[0]
+            assert got == self.run(reference_koetter.solve_reduced, prob.field, ctx)[0]
+            raised += got == "InexactDivision"
+        assert 0 < raised < self.CASES

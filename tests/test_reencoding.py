@@ -15,7 +15,7 @@ from rslist.reencoding import (
 )
 
 import properties
-from conftest import random_planted_problem
+from conftest import random_planted_problem, random_repeated_x_problem
 import golden_tables as gt
 
 
@@ -141,6 +141,10 @@ class TestSolveReduced:
         rng = random.Random(55)
         for _ in range(15):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
+            _, ctx, _, _ = prepare_reduced(prob)
+            check_tail_divisibility(solve_reduced(ctx).basis, ctx)
+        for _ in range(40):
+            prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
             _, ctx, _, _ = prepare_reduced(prob)
             check_tail_divisibility(solve_reduced(ctx).basis, ctx)
 
