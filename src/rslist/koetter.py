@@ -9,12 +9,20 @@ point class (standard or T*), so the reduced variant reuses it.
 Inside the constraint loop the r+1 basis polynomials are one BasisTensor:
 an (r+1, r+1, D) int32 array whose entry [j, l, i] is the X^i Y^l
 coefficient of G_j, an (r+1, r+1) array of trimmed row lengths, and a
-capacity D that is doubled on demand. A constraint's discrepancies for all
-polynomials are one log/antilog gather of the coefficients against the
-point's weights x^(i - s) y^(l - b) on the odd-binomial slots, then an
-XOR-reduce. The update adds ratio * pivot to the other live polynomials and
-multiplies the pivot by (X - x). BiPolys are built only for trace rows and
-for the returned state.
+capacity D that is doubled on demand.
+
+Every constraint of a point reads Hasse derivatives at its x, so each
+point keeps one table H[j, l, s], the order-s Hasse derivative at x of row
+Y^l of G_j for s < S, which has (r+1)^2 S entries, no more than about the
+box. Its first constraint builds it with one log/antilog gather per order
+s over the box, against the weights x^(i - s) on the slots with C(i, s)
+odd. A constraint's discrepancies for all polynomials are then read from
+the table with the row factors y^(l - b) and XOR-reduced. The update adds
+ratio * pivot to the other live polynomials and multiplies the pivot by
+(X - x), and the table takes the same exact step: H[others] ^= ratio *
+H[t], and the pivot's orders move up by one with order 0 cleared, since
+multiplying by X - x does that to the Hasse derivatives at x. BiPolys are
+built only for trace rows and for the returned state.
 
 Counts are charged analytically from the row lengths, and they are exactly
 what the dense per-polynomial loop would charge under the convention in
@@ -186,7 +194,7 @@ def constraint_schedule(mult: int):
 
 
 MIN_WIDTH = 8  # initial capacity of the basis tensor's X axis
-GATHER_BLOCK = 1 << 15  # entries per block of a discrepancy gather
+GATHER_BLOCK = 1 << 15  # entries per block of a Hasse-table gather
 
 
 class BasisTensor:
@@ -222,116 +230,89 @@ class BasisTensor:
         return BasisState(polys, self.order, self.leadings)
 
 
-def _slot_weights(f: Field, x: int, s, width: int):
-    """The slots i < width with C(i, s) odd, and the logs of x^(i - s) there.
-
-    `s` is one offset for every row, or a column of per-row offsets; then the
-    weights are per row, the zero sentinel at a row's even-binomial slots.
-    The slots come back as a slice when they run to `width`. The logs are
-    reduced below q - 1, so one coefficient log may be added to them inside
-    `exp`.
-    """
-    q1 = f.q - 1
-    slots = np.arange(max(np.min(s), 0), width)
-    e = slots - s
-    keep = (e >= 0) & ((slots & s) == s)
-    if x == 0:
-        keep &= e == 0
-    cols = keep.any(0) if keep.ndim == 2 else keep
-    if not cols.all():
-        slots, e, keep = slots[cols], e[..., cols], keep[..., cols]
-    elif slots.size:
-        slots = slice(slots[0], None)
-    lx = int(f.log[x]) if x else 0
-    return slots, np.where(keep, e * lx % q1, 2 * q1).astype(np.int32)
-
-
-def _gather(f: Field, coeffs: np.ndarray, rows: np.ndarray, slots, weights: np.ndarray, width: int) -> np.ndarray:
-    """Per polynomial j and row p: XOR over the slots of coeffs[j, rows[p], slot] times its weight.
-
-    The rows go in blocks of about GATHER_BLOCK entries, which bounds the
-    temporaries.
-    """
-    n = len(coeffs)
-    step = max(GATHER_BLOCK // (n * weights.shape[-1] or 1), 1)
-    out = np.empty((n, rows.size), dtype=np.int32)
-    for i in range(0, rows.size, step):
-        logs = np.take(f.log, coeffs[:, rows[i : i + step], :width][..., slots])
-        logs += weights if weights.ndim == 1 else weights[i : i + step]
-        out[:, i : i + step] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
-    return out
-
-
 def _odd_binomial_counts(a: int, top: int) -> np.ndarray:
     """c[n] = #{i < n : C(i, a) odd} for n <= top."""
     return np.concatenate(([0], np.cumsum((np.arange(top) & a) == a)))
 
 
 class ConstraintPoint:
-    """One point's data for its constraints, and the per-point counts.
+    """One point's data for its constraints, its Hasse table and the per-point counts.
 
     `v` is None at a standard point. At a T* point of the reduced problem
     it is the multiplicity of the re-encoding point at x, and the
     discrepancy is taken on (X - x)^v G(X, Y / (X - x)): in characteristic 2
-    that is the standard gather with the row offset a - v + l in place of a,
+    that is the standard one with the row offset a - v + l in place of a,
     valid once every row l > v is divisible by (X - x)^(l - v).
+
+    `hasse[j, l, s]` is the order-s Hasse derivative at x of row Y^l of
+    G_j, for s below `orders`: the multiplicity at a standard point, and
+    max(mult + r - v, r - v, 1) at a T* point, which covers the offsets
+    a - v + l and the divisibility orders below l - v. The first
+    `update_basis` call builds it from the basis, and every later one
+    applies its own step to it, so a point's constraints must be imposed
+    one after another, with no other change to the basis in between.
 
     Construction charges the per-point setup: r multiplications for the
     powers of y != 0 and, at a T* point, the powers (X - x)^i for
     i <= max(v, r - v, 1), built one linear factor at a time.
     """
 
-    __slots__ = ("x", "y", "v", "xpowers", "check_rows", "check_orders")
+    __slots__ = ("x", "y", "v", "xpowers", "orders", "hasse", "check")
 
     def __init__(self, f: Field, pt: InterpolationPoint, r: int, v: int | None = None) -> None:
         self.x, self.y, self.v = pt.x, pt.y, v
         self.xpowers = 1  # a standard point's x-powers charged so far: x^0
+        self.hasse = None
         ctr = f.counter
         if pt.y:
             ctr.multiplications += r
-        pairs = []
-        if v is not None:
+        if v is None:
+            self.orders = pt.mult
+            self.check = None
+        else:
             top = max(v, r - v, 1)
             ctr.multiplications += top * (top + 1) // 2
-            pairs = [(l, s) for l in range(v + 1, r + 1) for s in range(l - v)]
-        self.check_rows = np.array([l for l, _ in pairs], dtype=np.int64)
-        self.check_orders = np.array([s for _, s in pairs], dtype=np.int64)
+            self.orders = max(pt.mult + r - v, r - v, 1)
+            # (row l, order s) with s < l - v: the derivatives that must vanish
+            self.check = np.arange(self.orders) < np.arange(r + 1)[:, None] - v
 
-    def check_divisible(self, f: Field, coeffs: np.ndarray, width: int) -> None:
+    def build(self, f: Field, coeffs: np.ndarray, width: int) -> None:
+        """Fill the Hasse table from the basis: one log/antilog gather per order s.
+
+        Order s is the XOR of coeffs[j, l, i] x^(i - s) over the slots
+        s <= i < width with C(i, s) odd; the weights' logs are reduced below
+        q - 1, so one coefficient log may be added to them inside `exp`. The
+        rows go in blocks of about GATHER_BLOCK entries, which bounds the
+        temporaries.
+        """
+        n = len(coeffs)
+        lx = int(f.log[self.x]) if self.x else 0
+        self.hasse = np.empty((n, n, self.orders), dtype=np.int32)
+        for s in range(self.orders):
+            slots = np.arange(s, width)
+            slots = slots[:1] if self.x == 0 else slots[(slots & s) == s]
+            weights = ((slots - s) * lx % (f.q - 1)).astype(np.int32)
+            if slots.size == width - s:
+                slots = slice(s, width)
+            step = max(GATHER_BLOCK // (n * weights.size or 1), 1)
+            for i in range(0, n, step):
+                logs = np.take(f.log, coeffs[:, i : i + step][..., slots])
+                logs += weights
+                self.hasse[:, i : i + step, s] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
+
+    def check_divisible(self) -> None:
         """At a T* point, raise InexactDivision unless (X - x)^(l - v) divides every row l > v.
 
         That is, the Hasse derivatives at x of the orders below l - v vanish.
+        A combination of rows with such zeros keeps them, and so does the
+        pivot's product by X - x, which moves every order up by one.
         """
-        step = max(GATHER_BLOCK // width, 1)  # (row, order) pairs per block
-        for i in range(0, self.check_rows.size, step):
-            rows = self.check_rows[i : i + step]
-            slots, weights = _slot_weights(f, self.x, self.check_orders[i : i + step, None], width)
-            hasse = _gather(f, coeffs, rows, slots, weights, width)
-            if hasse.any():
-                j, p = np.argwhere(hasse)[0]
-                raise InexactDivision(f"row Y^{rows[p]} of G{j} not divisible by (X + {self.x})^{rows[p] - self.v}")
-
-    def discrepancies(self, f: Field, coeffs: np.ndarray, a: int, b: int, width: int) -> np.ndarray:
-        """coef(P(X+x, Y+y); X^a Y^b) for every basis polynomial, P as in the class docstring.
-
-        Sum over the rows l >= b with C(l, b) odd of y^(l - b) times the
-        row's Hasse derivative of order s_l at x: one gather over the rows'
-        odd-binomial slots, then one over the rows.
-        """
-        rows = np.arange(len(coeffs))
-        s = a if self.v is None else rows + (a - self.v)
-        keep = (s >= 0) & (rows >= b) & ((rows & b) == b)
-        if self.y == 0:
-            keep &= rows == b
-        rows = rows[keep]
-        if not rows.size:
-            return np.zeros(len(coeffs), dtype=np.int32)
-        if self.v is not None:
-            s = s[keep, None]
-        slots, weights = _slot_weights(f, self.x, s, width)
-        hasse = _gather(f, coeffs, rows, slots, weights, width)
-        ly = int(f.log[self.y]) if self.y else 0
-        return np.bitwise_xor.reduce(f.exp[f.log[hasse] + (rows - b) * ly % (f.q - 1)], axis=1)
+        if self.check is None:
+            return
+        bad = np.argwhere((self.hasse != 0) & self.check)
+        if bad.size:
+            j, l, _ = bad[0]
+            raise InexactDivision(f"row Y^{l} of G{j} not divisible by (X + {self.x})^{l - self.v}")
 
     def charge(self, f: Field, sizes: np.ndarray, a: int, b: int) -> None:
         """Charge what the per-polynomial loop charges for constraint (a, b)'s discrepancies.
@@ -377,22 +358,36 @@ class ConstraintPoint:
 def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> bool:
     """Impose constraint (a, b) of `point` on every basis polynomial at once; True if the basis changed.
 
-    A T* point first checks the divisibility its transform needs. The
-    discrepancies are one log/antilog gather of the coefficients against
-    the point's weights, XOR-reduced per polynomial. If all are zero nothing
-    changes. Otherwise the order-least polynomial with nonzero discrepancy
-    is the pivot: the others gain ratio * pivot, and the pivot is
-    multiplied by (X - x). Per other live polynomial that charges one
-    multiplication for its ratio, the pivot's length for the scaling and,
-    as additions, the overlap of the two polynomials' rows; the pivot's
-    product charges its length again.
+    On the point's first constraint its Hasse table is built from the basis,
+    and a T* point checks on it the divisibility its transform needs. The
+    updates keep the checked derivatives zero, so once per point is enough. A
+    polynomial's discrepancy is the sum over the rows l >= b with C(l, b)
+    odd of y^(l - b) times the table's entry of order a (a - v + l at a T*
+    point). If all are zero nothing changes. Otherwise the order-least
+    polynomial with nonzero discrepancy is the pivot: the others gain
+    ratio * pivot, and the pivot is multiplied by (X - x). The table takes
+    the same step; multiplying by X - x moves each Hasse order at x up by
+    one. Per other live polynomial that charges one multiplication for its
+    ratio, the pivot's length for the scaling and, as additions, the
+    overlap of the two polynomials' rows; the pivot's product charges its
+    length again.
     """
     f = basis.field
     coeffs, sizes = basis.coeffs, basis.sizes
-    width = int(sizes.max())
-    point.check_divisible(f, coeffs, width)
+    if point.hasse is None:
+        point.build(f, coeffs, int(sizes.max()))
+        point.check_divisible()
+    hasse = point.hasse
     point.charge(f, sizes, a, b)
-    deltas = point.discrepancies(f, coeffs, a, b, width)
+    rows = np.arange(len(sizes))
+    orders = np.full_like(rows, a) if point.v is None else rows + (a - point.v)
+    keep = (orders >= 0) & (rows >= b) & ((rows & b) == b)
+    if point.y == 0:
+        keep &= rows == b
+    rows = rows[keep]
+    ly = int(f.log[point.y]) if point.y else 0
+    terms = f.exp[f.log[hasse[:, rows, orders[keep]]] + (rows - b) * ly % (f.q - 1)]
+    deltas = np.bitwise_xor.reduce(terms, axis=1)
     live = np.flatnonzero(deltas)
     if not live.size:
         return False
@@ -408,9 +403,11 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     wt = int(sizes[t].max())
     logt = np.take(f.log, coeffs[t, :, :wt])
     if others.size:
+        logh = np.take(f.log, hasse[t])
         ratios = (f.log[deltas[others]] - f.log[deltas[t]]) % (f.q - 1)
         for j, ratio in zip(others, ratios):
             coeffs[j, :, :wt] ^= np.take(f.exp, logt + ratio)
+            hasse[j] ^= np.take(f.exp, logh + ratio)
         # a row keeps the longer length unless both had the same one: then trim it
         old = sizes[others]
         sizes[others] = np.maximum(old, sizes[t])
@@ -424,6 +421,8 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     coeffs[t, :, 0] = 0
     coeffs[t, :, :wt] ^= np.take(f.exp, logt + f.log[point.x])
     sizes[t] += sizes[t] > 0
+    hasse[t, :, 1:] = hasse[t, :, :-1]
+    hasse[t, :, 0] = 0
     la, lb = basis.leadings[t]
     basis.leadings[t] = (la + 1, lb)
     return True

@@ -80,11 +80,6 @@ class UniPoly:
     def constant(cls, field: Field, c: int) -> "UniPoly":
         return cls(field, [c])
 
-    @classmethod
-    def x_plus(cls, field: Field, c: int) -> "UniPoly":
-        """X + c (equal to X - c in characteristic 2)."""
-        return cls(field, [c, 1])
-
     # -- basics ----------------------------------------------------------------
 
     @property
@@ -183,15 +178,6 @@ class UniPoly:
         out = self.coeffs[1:].copy()
         out[1::2] = 0
         return UniPoly(self.field, out)
-
-    def taylor_shift(self, x: int) -> "UniPoly":
-        """p(X + x), computed by Horner accumulation in (X + x)."""
-        if self.is_zero or x == 0:
-            return self
-        acc = UniPoly.zero(self.field)
-        for i in range(self.coeffs.size - 1, -1, -1):
-            acc = acc.mul_linear(x) + UniPoly.constant(self.field, int(self.coeffs[i]))
-        return acc
 
     def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if d.is_zero:
@@ -315,19 +301,7 @@ class BiPoly:
             return self
         return BiPoly(self.field, (UniPoly.zero(self.field),) + self.ycoeffs)
 
-    # -- degrees and orders -------------------------------------------------
-
-    def wdeg(self, wx: int, wy: int):
-        """(wx, wy)-weighted degree; -inf for the zero polynomial."""
-        best = NEG_INF
-        for j, c in enumerate(self.ycoeffs):
-            if c.is_zero:
-                continue
-            nz = np.nonzero(c.coeffs)[0]
-            w = int((nz * wx + j * wy).max())
-            if best == NEG_INF or w > best:
-                best = w
-        return best
+    # -- orders ----------------------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> tuple[int, int, int]:
         """The order-greatest monomial (a, b, coefficient); raises on zero."""
@@ -346,30 +320,7 @@ class BiPoly:
         w, j, i = best
         return (i, j, int(self.ycoeffs[j].coeffs[i]))
 
-    # -- shifts, substitutions, multiplicities --------------------------------
-
-    def taylor_shift(self, x: int, y: int) -> "BiPoly":
-        """p(X + x, Y + y); entry (i, j) is the mixed Hasse-derivative value."""
-        shifted = [c.taylor_shift(x) for c in self.ycoeffs]
-        if y == 0:
-            return BiPoly(self.field, shifted)
-        acc = BiPoly.zero(self.field)
-        for j in range(len(shifted) - 1, -1, -1):
-            # acc*(Y + y) + c_j
-            acc = acc.shift_y() + acc.scale(y) + BiPoly(self.field, [shifted[j]])
-        return acc
-
-    def multiplicity_at(self, x: int, y: int) -> int:
-        """Largest m with all shifted coefficients of total degree < m zero."""
-        if self.is_zero:
-            raise ZeroPolynomial("multiplicity of 0 is undefined")
-        t = self.taylor_shift(x, y)
-        max_i = max((c.coeffs.size for c in t.ycoeffs), default=0)
-        for m in range(0, max_i + len(t.ycoeffs) + 1):
-            for j in range(min(m, len(t.ycoeffs) - 1), -1, -1):
-                if t.ycoef(j).coef(m - j):
-                    return m
-        return max_i + len(t.ycoeffs) + 1  # unreachable for nonzero p
+    # -- substitutions ---------------------------------------------------------
 
     def sub_y_shift(self, e: UniPoly) -> "BiPoly":
         """p(X, Y + e(X)); self-inverse in characteristic 2."""
@@ -379,16 +330,6 @@ class BiPoly:
         for j in range(len(self.ycoeffs) - 1, -1, -1):
             acc = acc.shift_y() + acc.scale_poly(e) + BiPoly(self.field, [self.ycoeffs[j]])
         return acc
-
-    def sub_y_scale(self, g: UniPoly) -> "BiPoly":
-        """p(X, Y*g(X)), the polynomial half of the birational coordinate map."""
-        gj = UniPoly.one(self.field)
-        rows = []
-        for j, c in enumerate(self.ycoeffs):
-            if j > 0:
-                gj = gj.mul(g)
-            rows.append(c.mul(gj))
-        return BiPoly(self.field, rows)
 
     def y_eval(self, fpoly: UniPoly) -> UniPoly:
         """p(X, f(X)) by Horner in Y."""

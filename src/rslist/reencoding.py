@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .galois import Field
 from .koetter import (
     BasisState,
@@ -80,12 +82,6 @@ def select_reencoding_set(problem: InterpolationProblem) -> ReencodingSet:
     return ReencodingSet([p for _, p in chosen], e, [i for i, _ in chosen])
 
 
-def shift_points(problem: InterpolationProblem, e: UniPoly) -> InterpolationProblem:
-    """Replace every y with y - e(x); multiplicities unchanged."""
-    pts = [InterpolationPoint(p.x, p.y ^ e.eval_at(p.x), p.mult) for p in problem.points]
-    return InterpolationProblem(problem.field, pts, problem.k)
-
-
 def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoint]) -> ReducedContext:
     """Auxiliary polynomials and the transformed point set.
 
@@ -110,18 +106,17 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
             for _ in range(max(j - p.mult, 0)):
                 t = t.mul_linear(p.x)
         tails.append(t)
-    gprime = g.formal_derivative()
-    e = rset.e_poly
+    xs = np.array([p.x for p in remaining], dtype=np.int32)
+    on_r = np.array([p.x in v for p in remaining], dtype=bool)
+    yshift = np.array([p.y for p in remaining], dtype=np.int32) ^ rset.e_poly.eval_many(xs)
+    denom = np.empty_like(xs)
+    denom[on_r] = g.formal_derivative().eval_many(xs[on_r])
+    denom[~on_r] = g.eval_many(xs[~on_r])
+    zs = f.vmul(yshift, f.vinv(denom))
     s_star: list[InterpolationPoint] = []
     t_star: list[InterpolationPoint] = []
-    for p in remaining:
-        yshift = p.y ^ e.eval_at(p.x)
-        if p.x in v:
-            z = f.div(yshift, gprime.eval_at(p.x))
-            t_star.append(InterpolationPoint(p.x, z, p.mult))
-        else:
-            z = f.div(yshift, g.eval_at(p.x))
-            s_star.append(InterpolationPoint(p.x, z, p.mult))
+    for p, z, t in zip(remaining, zs, on_r):
+        (t_star if t else s_star).append(InterpolationPoint(p.x, int(z), p.mult))
     return ReducedContext(f, g, psi, tails, v, s_star, t_star, r)
 
 

@@ -38,6 +38,7 @@ from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 import properties
 import golden_tables as gt
 from conftest import random_planted_problem
+from poly_helpers import multiplicity_at, wdeg
 
 DIRECT_TARGET = 159.56e6
 REDUCED_TARGET = 350e3
@@ -203,11 +204,11 @@ def test_criterion_7_oracle_equivalence(gf8, gf16, crit):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             oracle_q = brute_force_interpolate(prob)
             fast = solve(prob).minimal
-            assert fast.wdeg(1, prob.k - 1) == oracle_q.wdeg(1, prob.k - 1)
+            assert wdeg(fast, 1, prob.k - 1) == wdeg(oracle_q, 1, prob.k - 1)
             order = order_cache.setdefault(prob.k, MonomialOrder.weighted(prob.k))
             assert fast.leading_monomial(order)[:2] == oracle_q.leading_monomial(order)[:2]
             for pt in prob.points:
-                assert fast.multiplicity_at(pt.x, pt.y) >= pt.mult
+                assert multiplicity_at(fast, pt.x, pt.y) >= pt.mult
 
 
 def test_criterion_8_cross_path_equivalence(gf8, gf16, crit):
@@ -224,7 +225,7 @@ def test_criterion_8_cross_path_equivalence(gf8, gf16, crit):
             assert direct.accepted_set() == reduced.accepted_set()
             # the guarantee is checked against the a-priori bound, not against Q's degree
             dstar, r = delta_star(n_constraints(pt.mult for pt in prob.points), prob.k)
-            assert solve(prob).minimal.wdeg(1, prob.k - 1) <= dstar
+            assert wdeg(solve(prob).minimal, 1, prob.k - 1) <= dstar
             assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
             score = sum(pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y)
             if score > dstar:

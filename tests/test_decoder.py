@@ -10,6 +10,7 @@ from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures
 
 from conftest import random_planted_problem, random_repeated_x_problem
+from poly_helpers import wdeg
 
 
 def counts(report):
@@ -138,7 +139,7 @@ class TestCrossPath:
             except TooManyErasures:
                 continue
             dstar, r = delta_star(n_constraints(pt.mult for pt in prob.points), prob.k)
-            assert solve(prob).minimal.wdeg(1, prob.k - 1) <= dstar
+            assert wdeg(solve(prob).minimal, 1, prob.k - 1) <= dstar
             assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
             score = sum(pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y)
             if score > dstar:

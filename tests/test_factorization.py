@@ -25,6 +25,7 @@ from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpo
 from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
 
 from conftest import random_unipoly
+from poly_helpers import x_plus
 import golden_tables as gt
 
 
@@ -231,7 +232,7 @@ class TestErrorLocations:
     def test_root_outside_reencoding_set_rejected(self, gf8, worked_rset):
         a = gf8.from_exponent
         x = a(5)  # not a re-encoding x-coordinate
-        sigma = UniPoly.x_plus(gf8, x).scale(gf8.inv(x))
+        sigma = x_plus(gf8, x).scale(gf8.inv(x))
         locs, status = find_error_locations(sigma, worked_rset)
         assert locs is None and status == INSUFFICIENT_ROOTS
 
@@ -258,7 +259,7 @@ class TestErrorValues:
 
         # omega vanishing at the error location forces e_i = 0 (rule d)
         sigma = UniPoly(gf8, [1, a(5)])
-        omega = UniPoly.x_plus(gf8, a(2))
+        omega = x_plus(gf8, a(2))
         pair = LocatorEvaluatorPair(sigma, omega, 1)
         values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert values is None and status == ZERO_ERROR_VALUE

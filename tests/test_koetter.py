@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from rslist import koetter
 from rslist.galois import OpCounter
 from rslist.koetter import (
     MIN_WIDTH,
@@ -25,6 +28,7 @@ from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 import golden_tables as gt
 import reference_koetter
 from conftest import random_planted_problem, random_repeated_x_problem
+from poly_helpers import multiplicity_at, uni_taylor_shift, x_plus
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
 
@@ -205,7 +209,7 @@ class TestSolve:
         res = solve(worked_problem)
         for p in res.basis.polys:
             for pt in worked_problem.points:
-                assert p.multiplicity_at(pt.x, pt.y) >= pt.mult
+                assert multiplicity_at(p, pt.x, pt.y) >= pt.mult
         res.basis.validate()
 
     def test_basis_satisfies_constraints_after_each_point(self, gf8, worked_problem):
@@ -217,7 +221,7 @@ class TestSolve:
             seen.append(pt)
             for _, poly in res.trace[idx - 1].basis:
                 for q in seen:
-                    assert poly.multiplicity_at(q.x, q.y) >= q.mult
+                    assert multiplicity_at(poly, q.x, q.y) >= q.mult
 
     def test_output_leading_ydegrees_stay_distinct(self, gf16):
         rng = random.Random(23)
@@ -231,7 +235,7 @@ class TestSolve:
         res = solve(worked_problem)
         f1 = UniPoly(gf8, [a(6), a(2)])
         f2 = UniPoly(gf8, [a(5), a(6)])
-        lead = UniPoly.x_plus(gf8, a(3))
+        lead = x_plus(gf8, a(3))
         prod_rows = [
             f1.mul(f2).mul(lead),
             (f1 + f2).mul(lead),
@@ -330,3 +334,80 @@ class TestMatchesReferenceEngine:
             assert got == self.run(reference_koetter.solve_reduced, prob.field, ctx)[0]
             raised += got == "InexactDivision"
         assert 0 < raised < self.CASES
+
+
+class TestHasseTable:
+    """A point's kept Hasse table against the basis it describes, after every constraint.
+
+    update_basis builds the table on a point's first constraint and then
+    carries it through each step; a fresh build from the current
+    BasisTensor must give the same table.
+    """
+
+    CASES = 60
+
+    def problems(self, seed, fields):
+        rng = random.Random(seed)
+        for i in range(self.CASES):
+            if i % 2:
+                yield random_repeated_x_problem(rng, fields)[0]
+            else:
+                yield random_planted_problem(rng, fields, max_constraints=20, max_mult=3)[0]
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Wrap update_basis so that every constraint compares the kept table with a fresh one."""
+        seen = {"points": set(), "doubled": 0}
+        real = koetter.update_basis
+
+        def update_basis(basis, point, a, b):
+            changed = real(basis, point, a, b)
+            fresh = copy.copy(point)
+            fresh.build(basis.field, basis.coeffs, int(basis.sizes.max()))
+            np.testing.assert_array_equal(point.hasse, fresh.hasse)
+            seen["points"].add((point.x, point.y, point.v, point.orders))
+            seen["doubled"] |= basis.coeffs.shape[2] > MIN_WIDTH
+            return changed
+
+        monkeypatch.setattr(koetter, "update_basis", update_basis)
+        return seen
+
+    def test_direct_path(self, gf8, gf16, checked):
+        doubled = 0
+        for prob in self.problems(91, [gf8, gf16]):
+            checked["doubled"] = 0
+            solve(prob)
+            doubled += checked["doubled"]
+        points = checked["points"]
+        assert any(x == 0 for x, _, _, _ in points) and any(y == 0 for _, y, _, _ in points)
+        assert doubled >= 5
+
+    def test_reduced_path(self, gf8, gf16, checked):
+        doubled = t_star_mult_3 = 0
+        for prob in self.problems(92, [gf8, gf16]):
+            try:
+                _, ctx, _, _ = prepare_reduced(prob)
+            except TooManyErasures:
+                continue
+            checked["doubled"] = 0
+            solve_reduced(ctx)
+            doubled += checked["doubled"]
+            t_star_mult_3 += any(p.mult == 3 for p in ctx.t_star)
+        points = checked["points"]
+        assert any(x == 0 for x, _, _, _ in points) and any(y == 0 for _, y, _, _ in points)
+        assert any(v is not None for _, _, v, _ in points)
+        assert doubled >= 1 and t_star_mult_3 >= 3
+
+    def test_build_matches_taylor_shift(self, gf8, gf16):
+        # entry [j, l, s] is coefficient s of row Y^l of G_j shifted to X + x
+        for prob in self.problems(93, [gf8, gf16]):
+            f = prob.field
+            state = solve(prob).basis
+            basis = BasisTensor(state)
+            n = len(state.polys)
+            for pt in prob.points[:3]:
+                point = ConstraintPoint(f, pt, n - 1)
+                point.build(f, basis.coeffs, int(basis.sizes.max()))
+                rows = [[uni_taylor_shift(p.ycoef(l), pt.x) for l in range(n)] for p in state.polys]
+                want = [[[row.coef(s) for s in range(point.orders)] for row in poly] for poly in rows]
+                np.testing.assert_array_equal(point.hasse, want)

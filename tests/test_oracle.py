@@ -7,6 +7,7 @@ from rslist.oracle import InstanceTooLarge, brute_force_interpolate, enumerate_m
 from rslist.polynomials import BiPoly, MonomialOrder
 
 from conftest import random_planted_problem
+from poly_helpers import multiplicity_at, wdeg
 from golden_tables import Q_DIRECT
 
 
@@ -27,7 +28,7 @@ class TestEnumerateMonomials:
 class TestBruteForce:
     def test_worked_problem_exact(self, gf8, worked_problem):
         q = brute_force_interpolate(worked_problem)
-        assert q.wdeg(1, 1) == 3
+        assert wdeg(q, 1, 1) == 3
         assert q.to_text() == Q_DIRECT  # minimal solution is unique once normalized
 
     def test_zero_constraints(self, gf8):
@@ -45,7 +46,7 @@ class TestBruteForce:
             prob, _ = random_planted_problem(rng, [gf16])
             q = brute_force_interpolate(prob)
             for pt in prob.points:
-                assert q.multiplicity_at(pt.x, pt.y) >= pt.mult
+                assert multiplicity_at(q, pt.x, pt.y) >= pt.mult
 
     def test_agrees_with_koetter(self, gf8, gf16):
         rng = random.Random(42)
@@ -55,5 +56,5 @@ class TestBruteForce:
             fast = solve(prob).minimal
             order = MonomialOrder.weighted(prob.k)
             assert oracle_q.leading_monomial(order)[:2] == fast.leading_monomial(order)[:2]
-            assert oracle_q.wdeg(1, prob.k - 1) == fast.wdeg(1, prob.k - 1)
+            assert wdeg(oracle_q, 1, prob.k - 1) == wdeg(fast, 1, prob.k - 1)
             assert oracle_q == fast  # minimal solution with unit leading coefficient is unique
