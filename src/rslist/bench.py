@@ -84,9 +84,11 @@ def large_profile_problem(seed: int = 1) -> tuple[InterpolationProblem, UniPoly]
 
 
 def random_problem(n: int, k: int, seed: int, errors: int = 0) -> tuple[InterpolationProblem, UniPoly]:
-    """A mult-1 instance over GF(16)/GF(256) with a planted message."""
+    """A mult-1 instance over GF(16)/GF(256) with a planted message; needs 1 <= k <= n <= 255."""
     from .galois import GF16_POLY
 
+    if not 1 <= k <= n <= 255:
+        raise ValueError(f"random profile needs 1 <= K <= N <= 255, got N={n} K={k}")
     rng = random.Random(seed)
     f = Field(4, GF16_POLY) if n <= 15 else Field(8, GF256_POLY)
     xs = rng.sample(f.all_elements()[1:], n)

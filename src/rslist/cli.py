@@ -107,26 +107,27 @@ BENCH_COLUMNS = "{:<8} {:<17} {:>11} {:>16} {:>12} {:>8}"
 
 def cmd_bench(args) -> int:
     """Decode each instance on both paths; print per-phase counts and each decode's wall time."""
+    try:
+        if args.repeat < 1:
+            raise ValueError(f"--repeat {args.repeat} < 1")
+        if args.random:
+            n, k, seed = args.random
+            problems = [random_problem(n, k, seed + rep)[0] for rep in range(args.repeat)]
+        else:
+            problems = [large_profile_problem(seed=args.seed + rep)[0] for rep in range(args.repeat)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(BENCH_COLUMNS.format("path", "phase", "constraints", "multiplications", "additions", "seconds"))
     interp_mults = []
-    for rep in range(args.repeat):
-        try:
-            if args.random:
-                n, k, seed = args.random
-                problem, _ = random_problem(int(n), int(k), int(seed) + rep)
-            else:
-                problem, _ = large_profile_problem(seed=args.seed + rep)
-            for decode in (decode_direct, decode_reduced):
-                t0 = time.perf_counter()
-                report = decode(problem)
-                seconds = time.perf_counter() - t0
-                _print_bench_report(report, seconds)
-                interp_mults.append(report.counters["interpolation"]["multiplications"])
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    if interp_mults:
-        print(f"interpolation ratio reduced/direct: {interp_mults[1] / interp_mults[0]:.6f}")
+    for problem in problems:
+        for decode in (decode_direct, decode_reduced):
+            t0 = time.perf_counter()
+            report = decode(problem)
+            seconds = time.perf_counter() - t0
+            _print_bench_report(report, seconds)
+            interp_mults.append(report.counters["interpolation"]["multiplications"])
+    print(f"interpolation ratio reduced/direct: {interp_mults[1] / interp_mults[0]:.6f}")
     return EXIT_OK
 
 
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decode)
 
     p_bench = sub.add_parser("bench", help="direct vs reduced decode: per-phase counts and wall time")
-    p_bench.add_argument("--random", nargs=3, metavar=("N", "K", "SEED"), default=None)
+    p_bench.add_argument("--random", nargs=3, type=int, metavar=("N", "K", "SEED"), default=None)
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=1)
     p_bench.set_defaults(func=cmd_bench)

@@ -7,33 +7,40 @@ degree. The engine is parameterized by monomial order, initial basis and
 point class (standard or T*), so the reduced variant reuses it.
 
 Inside the constraint loop the r+1 basis polynomials are one BasisTensor:
-an (r+1, r+1, D) int32 array whose entry [j, l, i] is the X^i Y^l
+an (r+1, r+1, W) int32 array whose entry [j, l, i] is the X^i Y^l
 coefficient of G_j, an (r+1, r+1) array of trimmed row lengths, and a
-capacity D that is doubled on demand.
+capacity W that is doubled on demand.
 
-Every constraint of a point reads Hasse derivatives at its x, so each
-point keeps one table H[j, l, s], the order-s Hasse derivative at x of row
-Y^l of G_j for s < S, which has (r+1)^2 S entries, no more than about the
-box. Its first constraint builds it with one log/antilog gather per order
-s over the box, against the weights x^(i - s) on the slots with C(i, s)
-odd. A constraint's discrepancies for all polynomials are then read from
-the table with the row factors y^(l - b) and XOR-reduced. The update adds
-ratio * pivot to the other live polynomials and multiplies the pivot by
-(X - x), and the table takes the same exact step: H[others] ^= ratio *
-H[t], and the pivot's orders move up by one with order 0 cleared, since
-multiplying by X - x does that to the Hasse derivatives at x. BiPolys are
-built only for trace rows and for the returned state.
+Every constraint of a point is a mixed Hasse derivative of the basis at
+that point, so each point keeps one table D[j, a, b], the discrepancy of
+G_j for constraint (a, b), for a and b below the multiplicity. Its first
+constraint builds it: a Hasse table H[j, l, s], the order-s derivative at
+x of row Y^l of G_j, takes one log/antilog gather per order s over the
+box, and D[j, a, b] = sum over l of C(l, b) y^(l - b) H[j, l, a] folds it
+(order a - v + l at a T* point, only l = b at y = 0). A constraint's
+discrepancies are then the column D[:, a, b]. The update adds ratio *
+pivot to the other live polynomials and multiplies the pivot by (X - x).
+D is linear in the basis, so it takes the same exact step: D[others] ^=
+ratio * D[t], and the pivot's a-axis moves up by one with a = 0 cleared,
+since multiplying by X - x does that to the Hasse derivatives at x. At a
+T* point the cleared entries are exact because the derivatives of the
+orders below l - v stay zero on every row l > v, which the table's build
+checks once per point. BiPolys are built only for trace rows and for the
+returned state.
 
 Counts are charged analytically from the row lengths, and they are exactly
 what the dense per-polynomial loop would charge under the convention in
 `galois.Field`'s docstring. That loop takes each discrepancy term by term:
 two multiplications and one fewer addition per odd-binomial term, the x-
 and y-powers it needs, and at a T* point a dense multiply or divide by
-(X - x)^(v - l) first. Its update charges one multiplication per ratio, a
-scale of the pivot per other live polynomial, one addition per overlapping
-slot of each sum and the pivot's (X - x) product. `ConstraintPoint.charge`
-and `update_basis` spell the rules out, and tests/reference_koetter.py keeps
-that loop to hold the engine to them.
+(X - x)^(v - l) first. A point's discrepancy charges are taken once, over
+all its constraints, when its last one is imposed, and if the T* check
+fails, what that loop charged before its division failed. Its update
+charges one multiplication per ratio, a scale of the pivot per other live
+polynomial, one addition per overlapping slot of each sum and the pivot's
+(X - x) product. `ConstraintPoint.charge` and `update_basis` spell the
+rules out, and tests/reference_koetter.py keeps that loop to hold the
+engine to them.
 """
 
 from __future__ import annotations
@@ -230,39 +237,34 @@ class BasisTensor:
         return BasisState(polys, self.order, self.leadings)
 
 
-def _odd_binomial_counts(a: int, top: int) -> np.ndarray:
-    """c[n] = #{i < n : C(i, a) odd} for n <= top."""
-    return np.concatenate(([0], np.cumsum((np.arange(top) & a) == a)))
-
-
 class ConstraintPoint:
-    """One point's data for its constraints, its Hasse table and the per-point counts.
+    """One point's data for its constraints: its discrepancy table and its pending charges.
 
     `v` is None at a standard point. At a T* point of the reduced problem
     it is the multiplicity of the re-encoding point at x, and the
     discrepancy is taken on (X - x)^v G(X, Y / (X - x)): in characteristic 2
-    that is the standard one with the row offset a - v + l in place of a,
-    valid once every row l > v is divisible by (X - x)^(l - v).
+    that is the standard one with the Hasse order a - v + l in place of a
+    on row l, valid once every row l > v is divisible by (X - x)^(l - v).
 
-    `hasse[j, l, s]` is the order-s Hasse derivative at x of row Y^l of
-    G_j, for s below `orders`: the multiplicity at a standard point, and
-    max(mult + r - v, r - v, 1) at a T* point, which covers the offsets
-    a - v + l and the divisibility orders below l - v. The first
-    `update_basis` call builds it from the basis, and every later one
-    applies its own step to it, so a point's constraints must be imposed
-    one after another, with no other change to the basis in between.
+    `table[j, a, b]` is the discrepancy of G_j for constraint (a, b), for
+    a and b below the multiplicity. The first `update_basis` call builds it
+    from the basis, and every later one applies its own step to it, so a
+    point's constraints must be imposed one after another, with no other
+    change to the basis in between.
 
     Construction charges the per-point setup: r multiplications for the
     powers of y != 0 and, at a T* point, the powers (X - x)^i for
-    i <= max(v, r - v, 1), built one linear factor at a time.
+    i <= max(v, r - v, 1), built one linear factor at a time. Each
+    constraint's (a, b) and row lengths wait in `pending`, and `charge`
+    takes them all at once when the point's last constraint is imposed.
     """
 
-    __slots__ = ("x", "y", "v", "xpowers", "orders", "hasse", "check")
+    __slots__ = ("x", "y", "v", "mult", "orders", "table", "check", "pending")
 
     def __init__(self, f: Field, pt: InterpolationPoint, r: int, v: int | None = None) -> None:
-        self.x, self.y, self.v = pt.x, pt.y, v
-        self.xpowers = 1  # a standard point's x-powers charged so far: x^0
-        self.hasse = None
+        self.x, self.y, self.v, self.mult = pt.x, pt.y, v, pt.mult
+        self.table = None
+        self.pending = []
         ctr = f.counter
         if pt.y:
             ctr.multiplications += r
@@ -276,18 +278,24 @@ class ConstraintPoint:
             # (row l, order s) with s < l - v: the derivatives that must vanish
             self.check = np.arange(self.orders) < np.arange(r + 1)[:, None] - v
 
-    def build(self, f: Field, coeffs: np.ndarray, width: int) -> None:
-        """Fill the Hasse table from the basis: one log/antilog gather per order s.
+    def build(self, f: Field, coeffs: np.ndarray, sizes: np.ndarray) -> None:
+        """Fill the discrepancy table from the basis, through the point's Hasse table.
 
-        Order s is the XOR of coeffs[j, l, i] x^(i - s) over the slots
-        s <= i < width with C(i, s) odd; the weights' logs are reduced below
-        q - 1, so one coefficient log may be added to them inside `exp`. The
-        rows go in blocks of about GATHER_BLOCK entries, which bounds the
-        temporaries.
+        H[j, l, s], the order-s Hasse derivative at x of row Y^l of G_j, is
+        the XOR of coeffs[j, l, i] x^(i - s) over the slots s <= i with
+        C(i, s) odd: one log/antilog gather per order s < `orders`. The
+        weights' logs are reduced below q - 1, so one coefficient log may be
+        added to them inside `exp`, and the rows go in blocks of about
+        GATHER_BLOCK entries, which bounds the temporaries. At a T* point
+        every row l > v must have zero derivatives of the orders below
+        l - v, or InexactDivision is raised. Then D[j, a, b] is the XOR over
+        the rows l >= b with C(l, b) odd of y^(l - b) H[j, l, o], where o is
+        a, or a - v + l if that is >= 0 at a T* point; at y = 0 only l = b
+        counts.
         """
-        n = len(coeffs)
+        n, width = len(coeffs), int(sizes.max())
         lx = int(f.log[self.x]) if self.x else 0
-        self.hasse = np.empty((n, n, self.orders), dtype=np.int32)
+        hasse = np.empty((n, n, self.orders), dtype=np.int32)
         for s in range(self.orders):
             slots = np.arange(s, width)
             slots = slots[:1] if self.x == 0 else slots[(slots & s) == s]
@@ -298,57 +306,70 @@ class ConstraintPoint:
             for i in range(0, n, step):
                 logs = np.take(f.log, coeffs[:, i : i + step][..., slots])
                 logs += weights
-                self.hasse[:, i : i + step, s] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
+                hasse[:, i : i + step, s] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
+        rows, ab = np.arange(n), np.arange(self.mult)[:, None]
+        if self.check is not None:
+            bad = np.argwhere((hasse != 0) & self.check)
+            if bad.size:
+                # the per-polynomial loop got through G_0 .. G_{j-1} and G_j's rows up to l
+                j, l, _ = bad[0]
+                self.charge(f, [(0, 0, np.where(rows[:, None] < j, sizes, 0))])
+                f.counter.multiplications += int(self.transformed(sizes[j, : l + 1])[1].sum())
+                raise InexactDivision(f"row Y^{l} of G{j} not divisible by (X + {self.x})^{l - self.v}")
+        order = ab + 0 * rows if self.v is None else ab - self.v + rows  # [a, l]
+        keep = rows == ab if self.y == 0 else (rows >= ab) & ((rows & ab) == ab)  # [b, l]
+        ly = int(f.log[self.y]) if self.y else 0
+        logs = np.take(f.log, hasse[:, rows, np.maximum(order, 0)])[:, :, None, :]
+        terms = np.take(f.exp, logs + ((rows - ab) * ly % (f.q - 1)).astype(np.int32))
+        terms *= keep & (order >= 0)[:, None, :]
+        self.table = np.bitwise_xor.reduce(terms, axis=3)
 
-    def check_divisible(self) -> None:
-        """At a T* point, raise InexactDivision unless (X - x)^(l - v) divides every row l > v.
+    def transformed(self, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """At a T* point, the rows' lengths after the per-polynomial loop's transform, and its multiplications.
 
-        That is, the Hasse derivatives at x of the orders below l - v vanish.
-        A combination of rows with such zeros keeps them, and so does the
-        pivot's product by X - x, which moves every order up by one.
+        That loop multiplies each nonzero row l by (X - x)^(v - l), or
+        divides it by (X - x)^(l - v), densely: a product charges the two
+        lengths' product, and a division one plus the divisor's length per
+        quotient slot.
         """
-        if self.check is None:
-            return
-        bad = np.argwhere((self.hasse != 0) & self.check)
-        if bad.size:
-            j, l, _ = bad[0]
-            raise InexactDivision(f"row Y^{l} of G{j} not divisible by (X + {self.x})^{l - self.v}")
+        d = self.v - np.arange(sizes.shape[-1])
+        cost = np.where(d >= 0, sizes * (d + 1), np.maximum(sizes + d, 0) * (2 - d))
+        return np.where(sizes > 0, sizes + d, 0), cost
 
-    def charge(self, f: Field, sizes: np.ndarray, a: int, b: int) -> None:
-        """Charge what the per-polynomial loop charges for constraint (a, b)'s discrepancies.
+    def charge(self, f: Field, pending) -> None:
+        """Charge what the per-polynomial loop charges for the discrepancies of the constraints in `pending`.
 
-        That loop takes coef(P(X+x, Y+y); X^a Y^b) of one polynomial P at a
-        time, P = G at a standard point and the transformed G at a T* one.
-        A standard point charges its x-powers on demand, up to the basis's
-        X-degree minus a. A T* point multiplies each nonzero row of G by
-        (X - x)^(v - l), or divides it by (X - x)^(l - v), densely, then
-        charges the transformed polynomial's x-powers up to its X-degree
-        minus a. Every P with Y-degree >= b charges, at y = 0, the y-powers
-        up to its Y-degree minus b, and on each row l >= b with C(l, b) odd,
-        two multiplications and one fewer addition per slot i >= a with
-        C(i, a) odd.
+        Each entry is a constraint's (a, b) and the row lengths of the basis
+        it was imposed on. That loop takes coef(P(X+x, Y+y); X^a Y^b) of one
+        polynomial P at a time, P = G at a standard point and the
+        transformed G at a T* one. A standard point charges its x-powers
+        once, up to the largest X-degree minus a over its constraints. A T*
+        point charges the transform, then the transformed polynomial's
+        x-powers up to its X-degree minus a. Every P with Y-degree >= b
+        charges, at y = 0, the y-powers up to its Y-degree minus b, and on
+        each row l >= b with C(l, b) odd, two multiplications and one fewer
+        addition per slot i >= a with C(i, a) odd, counted from one prefix
+        table of those slots.
         """
-        n = len(sizes)
+        a, b, sizes = (np.array(z) for z in zip(*pending))
+        a, b = a[:, None], b[:, None]
+        n = sizes.shape[-1]
         ell = np.arange(n)
         nonzero = sizes > 0
-        ydeg = np.where(nonzero.any(1), n - 1 - nonzero[:, ::-1].argmax(1), -1)
+        ydeg = np.where(nonzero.any(2), n - 1 - nonzero[..., ::-1].argmax(2), -1)
         has = ydeg >= b
-        mults = 0
         if self.v is None:
             lengths = sizes
-            top = max(int(sizes.max()) - 1 - a, 0)
-            if top >= self.xpowers:
-                mults += top + 1 - self.xpowers
-                self.xpowers = top + 1
+            mults = max(int((sizes.max((1, 2)) - 1 - a[:, 0]).max()), 0)
         else:
-            d = self.v - ell
-            mults += int(np.where(d >= 0, sizes * (d + 1), (sizes + d) * (2 - d))[nonzero].sum())
-            lengths = np.where(nonzero, sizes + d, 0)
-            mults += int(np.maximum(lengths.max(1) - 1 - a, 0)[has].sum())
+            lengths, cost = self.transformed(sizes)
+            mults = int(cost.sum()) + int(np.maximum(lengths.max(2) - 1 - a, 0)[has].sum())
         if self.y == 0:
             mults += int((ydeg - b)[has].sum())
-        terms = _odd_binomial_counts(a, int(lengths.max()))[lengths]
-        terms[:, (ell < b) | ((ell & b) != b)] = 0
+        avals = np.arange(int(a.max()) + 1)[:, None]
+        odd = np.cumsum((np.arange(int(lengths.max())) & avals) == avals, axis=1)
+        odd = np.concatenate((np.zeros_like(avals), odd), axis=1)  # odd[a, m] = #{i < m : C(i, a) odd}
+        terms = odd[a[:, :, None], lengths] * ((ell >= b) & ((ell & b) == b))[:, None, :]
         total = int(terms.sum())
         ctr = f.counter
         ctr.multiplications += mults + 2 * total
@@ -358,36 +379,31 @@ class ConstraintPoint:
 def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> bool:
     """Impose constraint (a, b) of `point` on every basis polynomial at once; True if the basis changed.
 
-    On the point's first constraint its Hasse table is built from the basis,
-    and a T* point checks on it the divisibility its transform needs. The
-    updates keep the checked derivatives zero, so once per point is enough. A
-    polynomial's discrepancy is the sum over the rows l >= b with C(l, b)
-    odd of y^(l - b) times the table's entry of order a (a - v + l at a T*
-    point). If all are zero nothing changes. Otherwise the order-least
-    polynomial with nonzero discrepancy is the pivot: the others gain
-    ratio * pivot, and the pivot is multiplied by (X - x). The table takes
-    the same step; multiplying by X - x moves each Hasse order at x up by
-    one. Per other live polynomial that charges one multiplication for its
-    ratio, the pivot's length for the scaling and, as additions, the
-    overlap of the two polynomials' rows; the pivot's product charges its
-    length again.
+    On the point's first constraint its discrepancy table is built from the
+    basis (a T* point checks there the divisibility its transform needs),
+    and the point's last constraint charges the discrepancies of all of
+    them. The discrepancies are the table's column (a, b). If all are zero
+    nothing changes. Otherwise the order-least polynomial with nonzero
+    discrepancy is the pivot: the others gain ratio * pivot, and the pivot
+    is multiplied by (X - x). The table takes the same step, which is exact
+    because it is linear in the basis: table[others] ^= ratio * table[t],
+    and the pivot's a-axis moves up by one with a = 0 cleared, since
+    multiplying by X - x does that to each Hasse order at x. At a T* point
+    the a = 0 entries are H[t, l, l - v - 1] before the step, zero for
+    l > v by the divisibility that the updates keep. Per other live
+    polynomial the update charges one multiplication for its ratio, the
+    pivot's length for the scaling and, as additions, the overlap of the two
+    polynomials' rows; the pivot's product charges its length again.
     """
     f = basis.field
     coeffs, sizes = basis.coeffs, basis.sizes
-    if point.hasse is None:
-        point.build(f, coeffs, int(sizes.max()))
-        point.check_divisible()
-    hasse = point.hasse
-    point.charge(f, sizes, a, b)
-    rows = np.arange(len(sizes))
-    orders = np.full_like(rows, a) if point.v is None else rows + (a - point.v)
-    keep = (orders >= 0) & (rows >= b) & ((rows & b) == b)
-    if point.y == 0:
-        keep &= rows == b
-    rows = rows[keep]
-    ly = int(f.log[point.y]) if point.y else 0
-    terms = f.exp[f.log[hasse[:, rows, orders[keep]]] + (rows - b) * ly % (f.q - 1)]
-    deltas = np.bitwise_xor.reduce(terms, axis=1)
+    if point.table is None:
+        point.build(f, coeffs, sizes)
+    point.pending.append((a, b, sizes.copy()))
+    if len(point.pending) == point.mult * (point.mult + 1) // 2:
+        point.charge(f, point.pending)
+    table = point.table
+    deltas = table[:, a, b].copy()
     live = np.flatnonzero(deltas)
     if not live.size:
         return False
@@ -403,11 +419,11 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     wt = int(sizes[t].max())
     logt = np.take(f.log, coeffs[t, :, :wt])
     if others.size:
-        logh = np.take(f.log, hasse[t])
+        logd = np.take(f.log, table[t])
         ratios = (f.log[deltas[others]] - f.log[deltas[t]]) % (f.q - 1)
         for j, ratio in zip(others, ratios):
             coeffs[j, :, :wt] ^= np.take(f.exp, logt + ratio)
-            hasse[j] ^= np.take(f.exp, logh + ratio)
+            table[j] ^= np.take(f.exp, logd + ratio)
         # a row keeps the longer length unless both had the same one: then trim it
         old = sizes[others]
         sizes[others] = np.maximum(old, sizes[t])
@@ -421,8 +437,8 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     coeffs[t, :, 0] = 0
     coeffs[t, :, :wt] ^= np.take(f.exp, logt + f.log[point.x])
     sizes[t] += sizes[t] > 0
-    hasse[t, :, 1:] = hasse[t, :, :-1]
-    hasse[t, :, 0] = 0
+    table[t, 1:] = table[t, :-1]
+    table[t, 0] = 0
     la, lb = basis.leadings[t]
     basis.leadings[t] = (la + 1, lb)
     return True

@@ -233,6 +233,22 @@ class TestBench:
         ratio = int(reduced_interp[1]) / int(direct_interp[1])
         assert lines[-1] == f"interpolation ratio reduced/direct: {ratio:.6f}"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--random", "12", "4", "7", "--repeat", "0"),
+            ("--random", "12", "4", "7", "--repeat", "-1"),
+            ("--random", "5", "6", "1"),
+            ("--random", "0", "1", "1"),
+            ("--random", "5", "0", "1"),
+        ],
+    )
+    def test_bad_arguments_exit_2_before_any_row(self, args):
+        res = run_cli("bench", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+
     def test_impossible_random_profile_exits_2(self):
         # more positions than GF(256) has nonzero elements
         res = run_cli("bench", "--random", "300", "4", "7")

@@ -15,6 +15,7 @@ from rslist.koetter import (
     DuplicatePoint,
     InterpolationPoint,
     InterpolationProblem,
+    constraint_schedule,
     delta_star,
     format_trace_row,
     monomial_count_chi,
@@ -22,13 +23,13 @@ from rslist.koetter import (
     solve,
     update_basis,
 )
-from rslist.polynomials import BiPoly, InexactDivision, MonomialOrder, UniPoly
+from rslist.polynomials import ORDER_REDUCED, BiPoly, InexactDivision, MonomialOrder, UniPoly
 from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 import golden_tables as gt
 import reference_koetter
 from conftest import random_planted_problem, random_repeated_x_problem
-from poly_helpers import multiplicity_at, uni_taylor_shift, x_plus
+from poly_helpers import multiplicity_at, taylor_shift, x_plus
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
 
@@ -274,13 +275,13 @@ class TestMatchesReferenceEngine:
     CASES = 60
 
     def run(self, solver, f, arg):
-        """(minimal polynomial, trace text, counters) or "InexactDivision", and the result."""
+        """(minimal polynomial, trace text, counters) or ("InexactDivision", counters), and the result."""
         ctr = OpCounter()
         with f.count_into(ctr):
             try:
                 res = solver(arg, collect_trace=True)
             except InexactDivision:
-                return "InexactDivision", None
+                return ("InexactDivision", ctr.snapshot()), None
         trace = [format_trace_row(f, row) for row in res.trace]
         return (res.minimal.to_text(), trace, ctr.snapshot()), res
 
@@ -324,6 +325,7 @@ class TestMatchesReferenceEngine:
 
     def test_corrupted_tails_raise_alike(self, gf8, gf16):
         # with every tail 1 the T* rows lose their divisibility, and both engines must notice
+        # it with the same counts: what the per-polynomial loop charged before its division failed
         rng = random.Random(83)
         raised = 0
         for _ in range(self.CASES):
@@ -332,16 +334,57 @@ class TestMatchesReferenceEngine:
             ctx = dataclasses.replace(ctx, tails=[UniPoly.one(prob.field)] * (ctx.r + 1))
             got = self.run(solve_reduced, prob.field, ctx)[0]
             assert got == self.run(reference_koetter.solve_reduced, prob.field, ctx)[0]
-            raised += got == "InexactDivision"
+            raised += got[0] == "InexactDivision"
         assert 0 < raised < self.CASES
+
+    def test_direct_calls_charge_each_point(self, gf8, gf16):
+        # a point's discrepancy charges wait for its last constraint, so a caller that imposes
+        # a point's schedule through update_basis must still be charged all of it
+        def points_of(prob):
+            try:
+                _, ctx, _, _ = prepare_reduced(prob)
+            except TooManyErasures:
+                return
+            polys = [BiPoly(prob.field, [UniPoly.zero(prob.field)] * j + [ctx.tails[j]]) for j in range(ctx.r + 1)]
+            yield BasisState(polys, ORDER_REDUCED), ctx.s_star + ctx.t_star, ctx.v
+            r = delta_star(n_constraints(p.mult for p in prob.points), prob.k)[1]
+            state = BasisState([BiPoly.y_power(prob.field, j) for j in range(r + 1)], MonomialOrder.weighted(prob.k))
+            yield state, prob.points, {}
+
+        checked = t_star = 0
+        for prob in self.problems(84, [gf8, gf16]):
+            f = prob.field
+            for state, points, v in points_of(prob):
+                r = len(state.polys) - 1
+                for pt in points:
+                    ours, theirs = OpCounter(), OpCounter()
+                    basis = BasisTensor(state)
+                    with f.count_into(ours):
+                        point = ConstraintPoint(f, pt, r, v.get(pt.x))
+                        for a, b in constraint_schedule(pt.mult):
+                            update_basis(basis, point, a, b)
+                    if pt.x in v:
+                        disc = reference_koetter.transformed_discrepancy(v, f, r)
+                    else:
+                        disc = reference_koetter.standard_discrepancy(f, r)
+                    with f.count_into(theirs):
+                        state = reference_koetter.run_constraints(state, [pt], disc, None)
+                    assert ours.snapshot() == theirs.snapshot()
+                    assert basis.state().polys == state.polys
+                    checked += 1
+                    t_star += pt.x in v
+        assert checked >= 500 and t_star >= 50
 
 
 class TestHasseTable:
-    """A point's kept Hasse table against the basis it describes, after every constraint.
+    """A point's kept table of mixed Hasse derivatives against the basis it describes, after every constraint.
 
-    update_basis builds the table on a point's first constraint and then
-    carries it through each step; a fresh build from the current
-    BasisTensor must give the same table.
+    Entry [j, a, b] of `ConstraintPoint.table` is the (a, b) Hasse
+    derivative at the point of G_j (of its transform at a T* point), that
+    is constraint (a, b)'s discrepancy. update_basis builds the table on a
+    point's first constraint and then carries it through each step; a fresh
+    build from the current BasisTensor must give the same table, on every
+    entry.
     """
 
     CASES = 60
@@ -363,9 +406,9 @@ class TestHasseTable:
         def update_basis(basis, point, a, b):
             changed = real(basis, point, a, b)
             fresh = copy.copy(point)
-            fresh.build(basis.field, basis.coeffs, int(basis.sizes.max()))
-            np.testing.assert_array_equal(point.hasse, fresh.hasse)
-            seen["points"].add((point.x, point.y, point.v, point.orders))
+            fresh.build(basis.field, basis.coeffs, basis.sizes)
+            np.testing.assert_array_equal(point.table, fresh.table)
+            seen["points"].add((point.x, point.y, point.v, point.mult))
             seen["doubled"] |= basis.coeffs.shape[2] > MIN_WIDTH
             return changed
 
@@ -399,15 +442,14 @@ class TestHasseTable:
         assert doubled >= 1 and t_star_mult_3 >= 3
 
     def test_build_matches_taylor_shift(self, gf8, gf16):
-        # entry [j, l, s] is coefficient s of row Y^l of G_j shifted to X + x
+        # entry [j, a, b] is the X^a Y^b coefficient of G_j(X + x, Y + y)
         for prob in self.problems(93, [gf8, gf16]):
             f = prob.field
             state = solve(prob).basis
             basis = BasisTensor(state)
-            n = len(state.polys)
             for pt in prob.points[:3]:
-                point = ConstraintPoint(f, pt, n - 1)
-                point.build(f, basis.coeffs, int(basis.sizes.max()))
-                rows = [[uni_taylor_shift(p.ycoef(l), pt.x) for l in range(n)] for p in state.polys]
-                want = [[[row.coef(s) for s in range(point.orders)] for row in poly] for poly in rows]
-                np.testing.assert_array_equal(point.hasse, want)
+                point = ConstraintPoint(f, pt, len(state.polys) - 1)
+                point.build(f, basis.coeffs, basis.sizes)
+                shifted = [taylor_shift(p, pt.x, pt.y) for p in state.polys]
+                want = [[[p.ycoef(b).coef(a) for b in range(pt.mult)] for a in range(pt.mult)] for p in shifted]
+                np.testing.assert_array_equal(point.table, want)
