@@ -27,7 +27,6 @@ class DecodeReport:
     r: int
     tau: int  # the effective tau: reduced path, the error bound; direct path, the RR depth
     reduced_constraints: int | None = dataclass_field(default=None)
-    dropped_branches: int = 0  # RR branches cut by the live-branch cap (reduced path)
     trace: list | None = dataclass_field(default=None)
 
     def accepted(self) -> list[CandidateMessage]:
@@ -47,7 +46,6 @@ class DecodeReport:
                 "r": self.r,
                 "tau": self.tau,
                 "reduced_constraints": self.reduced_constraints,
-                "dropped_branches": self.dropped_branches,
             },
         }
 
@@ -106,7 +104,7 @@ def decode_reduced(
     with f.count_into(interp):
         res = solve_reduced(ctx, collect_trace=collect_trace)
     with f.count_into(fact):
-        candidates, dropped = factor_reduced(res.minimal, ctx, rset, tau)
+        candidates = factor_reduced(res.minimal, ctx, rset, tau)
     if verify:
         with f.count_into(fact):
             q = reconstruct(res.minimal, ctx.psi, ctx.g, rset.e_poly)
@@ -126,6 +124,5 @@ def decode_reduced(
         ctx.r,
         tau,
         reduced_constraints=res.n_constraints,
-        dropped_branches=dropped,
         trace=res.trace,
     )

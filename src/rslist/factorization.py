@@ -3,8 +3,11 @@
 A rational Y-root omega(X)/sigma(X) of H is recovered as a power series by a
 depth-limited Roth-Ruckenstein recursion, compressed into the locator /
 evaluator pair by Berlekamp-Massey, checked against the rejection rules,
-and turned into a message polynomial by corrected re-encoding. The direct
-path's full polynomial Y-root extraction lives here too.
+and turned into a message polynomial by corrected re-encoding. A branch is
+just its list of power-series coefficients; no level holds more than
+deg_Y(H) of them, since a child's m(0, Y) has Y-degree at most its root's
+multiplicity in the parent's. The direct path's full polynomial Y-root
+extraction lives here too.
 """
 
 from __future__ import annotations
@@ -26,15 +29,9 @@ REJECTED_BY_VERIFICATION = "rejected_by_verification"
 
 
 @dataclass
-class SyndromeBranch:
-    gammas: list[int]  # exactly 2*tau power-series coefficients
-
-
-@dataclass
 class LocatorEvaluatorPair:
     sigma: UniPoly  # normalized with sigma(0) = 1
     omega: UniPoly
-    t: int  # deg sigma
 
 
 @dataclass
@@ -113,55 +110,36 @@ def _y_restriction(m: BiPoly) -> UniPoly:
     return UniPoly(m.field, [c.coef(0) for c in m.ycoeffs])
 
 
-def _rr_levels(h: BiPoly, depth: int, cap: int | None = None) -> tuple[list[tuple[BiPoly, list[int]]], int]:
+def _rr_levels(h: BiPoly, depth: int) -> list[tuple[BiPoly, list[int]]]:
     """Roth-Ruckenstein to `depth` levels: (remainder, coefficient prefix) per live branch.
 
     Level by level: strip common X-powers, read the roots of m(0, Y), and
-    recurse on m(X, X*Y + gamma). Branches that run out of roots die. With a
-    cap, each level is truncated to its first `cap` branches in discovery
-    order after all of its transforms are built. Returns the last level and
-    the number of branches the cap dropped over all levels.
+    recurse on m(X, X*Y + gamma). Branches that run out of roots die.
+    Returns the last level in discovery order.
     """
     if h.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     level: list[tuple[BiPoly, list[int]]] = [(_strip_x(h), [])]
-    dropped = 0
     for _ in range(depth):
-        nxt: list[tuple[BiPoly, list[int]]] = []
-        for m, prefix in level:
-            for gamma in univariate_roots(_y_restriction(m)):
-                nxt.append((_strip_x(_rr_transform(m, gamma)), prefix + [gamma]))
-        level = nxt[:cap]
-        dropped += len(nxt) - len(level)
-    return level, dropped
+        level = [
+            (_strip_x(_rr_transform(m, gamma)), prefix + [gamma])
+            for m, prefix in level
+            for gamma in univariate_roots(_y_restriction(m))
+        ]
+    return level
 
 
-class SyndromeBranches(list):
-    """The live RR branches in discovery order; `dropped` counts those the live-branch cap cut."""
-
-    def __init__(self, branches, dropped: int) -> None:
-        super().__init__(branches)
-        self.dropped = dropped
-
-
-def rr_power_series(h: BiPoly, depth: int) -> SyndromeBranches:
-    """First `depth` power-series coefficients of every rational Y-root of h.
-
-    The live set is capped at deg_Y(h) per level; excess would be dropped in
-    discovery order and counted in `dropped`. A child's m(0, Y) has Y-degree
-    at most its root's multiplicity in the parent's, so no level outgrows
-    deg_Y(h) and the count stays 0: the cap is a guard.
-    """
+def rr_power_series(h: BiPoly, depth: int) -> list[list[int]]:
+    """First `depth` power-series coefficients of every rational Y-root of h, in discovery order."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    level, dropped = _rr_levels(h, depth, cap=max(len(h.ycoeffs) - 1, 1))
-    return SyndromeBranches([SyndromeBranch(prefix) for _, prefix in level], dropped)
+    return [prefix for _, prefix in _rr_levels(h, depth)]
 
 
 def polynomial_y_roots(q: BiPoly, depth: int) -> list[UniPoly]:
     """All f with deg f < depth and q(X, f(X)) = 0, by full Roth-Ruckenstein."""
     roots = []
-    for m, prefix in _rr_levels(q, depth)[0]:
+    for m, prefix in _rr_levels(q, depth):
         if m.ycoef(0).is_zero:  # m(X, 0) = 0, so the prefix is a Y-root
             roots.append(UniPoly(q.field, prefix))
     return roots
@@ -176,7 +154,7 @@ def _xor_lists(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def berlekamp_massey(field: Field, branch: SyndromeBranch) -> tuple[LocatorEvaluatorPair | None, str]:
+def berlekamp_massey(field: Field, gammas: list[int]) -> tuple[LocatorEvaluatorPair | None, str]:
     """Shortest LFSR for the syndrome sequence, plus the evaluator convolution.
 
     Rejects with rule (a) when deg sigma exceeds tau = len/2, and rule (b)
@@ -186,8 +164,7 @@ def berlekamp_massey(field: Field, branch: SyndromeBranch) -> tuple[LocatorEvalu
     complement of the locator. Without the boundary coefficient the check
     admits rational roots whose corrected message has degree k.
     """
-    s = branch.gammas
-    n = len(s)
+    n = len(gammas)
     tau = n // 2
     f = field
     c = [1]
@@ -196,10 +173,10 @@ def berlekamp_massey(field: Field, branch: SyndromeBranch) -> tuple[LocatorEvalu
     m = 1
     b = 1
     for i in range(n):
-        d = s[i]
+        d = gammas[i]
         for j in range(1, length + 1):
             if j < len(c):
-                d ^= f.mul(c[j], s[i - j])
+                d ^= f.mul(c[j], gammas[i - j])
         if d == 0:
             m += 1
             continue
@@ -223,12 +200,12 @@ def berlekamp_massey(field: Field, branch: SyndromeBranch) -> tuple[LocatorEvalu
     for i in range(n):
         acc = 0
         for j in range(min(i, t) + 1):
-            acc ^= f.mul(sigma.coef(j), s[i - j])
+            acc ^= f.mul(sigma.coef(j), gammas[i - j])
         conv.append(acc)
     if any(conv[i] for i in range(t, n)):
         return None, CONVOLUTION_NONZERO_TAIL
     omega = UniPoly(f, conv[:t])
-    return LocatorEvaluatorPair(sigma, omega, t), ACCEPTED
+    return LocatorEvaluatorPair(sigma, omega), ACCEPTED
 
 
 def find_error_locations(sigma: UniPoly, rset: ReencodingSet) -> tuple[list[int] | None, str]:
@@ -275,24 +252,20 @@ def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[in
     return lagrange_interpolate(f, pts)
 
 
-def factor_reduced(
-    h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int
-) -> tuple[list[CandidateMessage], int]:
+def factor_reduced(h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int) -> list[CandidateMessage]:
     """Full pipeline per branch; rejected branches keep their status.
 
     Accepted candidates with equal f are merged, keeping every branch index.
     tau beyond k is allowed (2k syndromes always suffice, extras are just
-    more convolution checks); tau < 1 is rejected. Returns the candidates
-    and the number of RR branches the live-branch cap dropped.
+    more convolution checks); tau < 1 is rejected.
     """
     if tau < 1:
         raise ValueError(f"tau={tau} must be >= 1")
     f = h.field
-    branches = rr_power_series(h, 2 * tau)
     out: list[CandidateMessage] = []
     by_f: dict[bytes, CandidateMessage] = {}
-    for idx, branch in enumerate(branches):
-        pair, status = berlekamp_massey(f, branch)
+    for idx, gammas in enumerate(rr_power_series(h, 2 * tau)):
+        pair, status = berlekamp_massey(f, gammas)
         if pair is None:
             out.append(CandidateMessage(None, status, branch_indices=[idx]))
             continue
@@ -314,4 +287,4 @@ def factor_reduced(
         cand = CandidateMessage(msg, ACCEPTED, pair.sigma, pair.omega, locations, errors, [idx])
         by_f[key] = cand
         out.append(cand)
-    return out, branches.dropped
+    return out

@@ -1,7 +1,7 @@
 import pytest
 
 from rslist.galois import GF8_POLY, GF16_POLY, Field
-from rslist.koetter import InterpolationPoint, InterpolationProblem
+from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints
 from rslist.polynomials import BiPoly, UniPoly
 
 
@@ -197,3 +197,28 @@ def random_repeated_x_problem(rng, fields, max_k=4, max_constraints=20):
     if len({p.x for p in points if p.x}) < k:
         return random_repeated_x_problem(rng, fields, max_k, max_constraints)
     return InterpolationProblem(f, points, k), fpoly
+
+
+def random_tight_problem(rng, f):
+    """A planted instance over `f` whose score is exactly delta* + 1.
+
+    2 <= k <= 5 and k + 2 <= n <= 15 distinct nonzero x's with multiplicities
+    1 to 3. Points become errors greedily, over a shuffled order, while the
+    planted message's score S stays above delta*; the draw is repeated until
+    S = delta* + 1.
+    """
+    while True:
+        k = rng.randint(2, 5)
+        xs = rng.sample(f.all_elements()[1:], rng.randint(k + 2, min(15, f.q - 1)))
+        fpoly = UniPoly(f, [rng.randrange(f.q) for _ in range(k)])
+        mults = [rng.randint(1, 3) for _ in xs]
+        dstar = delta_star(n_constraints(mults), k)[0]
+        ys = [fpoly.eval_at(x) for x in xs]
+        score = sum(mults)
+        for i in rng.sample(range(len(xs)), len(xs)):
+            if score - mults[i] > dstar:
+                ys[i] ^= rng.randrange(1, f.q)
+                score -= mults[i]
+        if score == dstar + 1:
+            points = [InterpolationPoint(x, y, m) for x, y, m in zip(xs, ys, mults)]
+            return InterpolationProblem(f, points, k), fpoly

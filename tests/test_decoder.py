@@ -9,7 +9,7 @@ from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star,
 from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures
 
-from conftest import random_planted_problem, random_repeated_x_problem
+from conftest import random_planted_problem, random_repeated_x_problem, random_tight_problem
 from poly_helpers import wdeg
 
 
@@ -147,6 +147,20 @@ class TestCrossPath:
                 assert tuple(fpoly.to_json()) in reduced.accepted_set()
                 done += 1
 
+    def test_planted_message_recovered_at_score_delta_plus_one(self, gf16):
+        # the tightest score the Bezout argument covers: S = delta* + 1
+        rng = random.Random(41)
+        for _ in range(40):
+            prob, fpoly = random_tight_problem(rng, gf16)
+            dstar, r = delta_star(n_constraints(pt.mult for pt in prob.points), prob.k)
+            assert sum(pt.mult for pt in prob.points if fpoly.eval_at(pt.x) == pt.y) == dstar + 1
+            assert wdeg(solve(prob).minimal, 1, prob.k - 1) <= dstar
+            direct = decode_direct(prob)
+            reduced = decode_reduced(prob, tau=prob.k)
+            assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
+            assert tuple(fpoly.to_json()) in direct.accepted_set()
+            assert tuple(fpoly.to_json()) in reduced.accepted_set()
+
 
 def test_concurrent_decodes_on_a_shared_field_keep_exact_counts(gf8, worked_problem, shifted_problem):
     problems = {"worked": worked_problem, "shifted": shifted_problem}
@@ -215,21 +229,16 @@ class TestEffectiveTau:
         assert report.to_json(gf8)["stats"]["tau"] == 3
 
 
+# the `stats` keys of a decode report on both paths, exactly as README lists them
+REPORT_STATS_KEYS = {"n_constraints", "delta_star", "r", "tau", "reduced_constraints"}
+
+
 def test_report_json_shape(gf8, worked_problem):
-    report = decode_reduced(worked_problem, tau=4)
-    obj = report.to_json(gf8)
-    assert obj["path"] == "reduced"
-    assert obj["stats"]["n_constraints"] == 9
-    assert obj["stats"]["reduced_constraints"] == 5
-    statuses = {c["status"] for c in obj["candidates"]}
-    assert "accepted" in statuses
-
-
-def test_dropped_branches_reported_zero(gf8, gf16, worked_problem, shifted_problem):
-    for problem in (worked_problem, shifted_problem):
-        for report in (decode_reduced(problem, tau=4), decode_direct(problem)):
-            assert report.to_json(gf8)["stats"]["dropped_branches"] == 0
-    rng = random.Random(38)
-    for _ in range(20):
-        prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
-        assert decode_reduced(prob, tau=prob.k).dropped_branches == 0
+    for path, decode, reduced_constraints in (("reduced", decode_reduced, 5), ("direct", decode_direct, None)):
+        obj = decode(worked_problem, 4).to_json(gf8)
+        assert obj["path"] == path
+        assert set(obj["stats"]) == REPORT_STATS_KEYS
+        assert obj["stats"]["n_constraints"] == 9
+        assert obj["stats"]["reduced_constraints"] == reduced_constraints
+        statuses = {c["status"] for c in obj["candidates"]}
+        assert "accepted" in statuses

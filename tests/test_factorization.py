@@ -9,7 +9,6 @@ from rslist.factorization import (
     DEGREE_EXCEEDS_TAU,
     INSUFFICIENT_ROOTS,
     ZERO_ERROR_VALUE,
-    SyndromeBranch,
     _rr_levels,
     berlekamp_massey,
     corrected_message,
@@ -59,76 +58,65 @@ class TestPowerSeries:
     def test_worked_problemd_branches(self, gf8, worked_h):
         branches = rr_power_series(worked_h, 8)
         assert len(branches) == 2
-        assert branches[0].gammas == [0] * 8
-        assert [gf8.format_element(g) for g in branches[1].gammas] == gt.ERROR_BRANCH_SYNDROMES
+        assert branches[0] == [0] * 8
+        assert [gf8.format_element(g) for g in branches[1]] == gt.ERROR_BRANCH_SYNDROMES
 
     def test_pure_y(self, gf8):
-        branches = rr_power_series(BiPoly.y_power(gf8, 1), 6)
-        assert [b.gammas for b in branches] == [[0] * 6]
+        assert rr_power_series(BiPoly.y_power(gf8, 1), 6) == [[0] * 6]
 
     def test_constant_root(self, gf8):
         c = gf8.from_exponent(4)
         h = BiPoly(gf8, [UniPoly.constant(gf8, c), UniPoly.one(gf8)])  # Y - c
-        branches = rr_power_series(h, 5)
-        assert [b.gammas for b in branches] == [[c, 0, 0, 0, 0]]
+        assert rr_power_series(h, 5) == [[c, 0, 0, 0, 0]]
 
     def test_zero_polynomial_raises(self, gf8):
         with pytest.raises(ZeroPolynomial):
             rr_power_series(BiPoly.zero(gf8), 4)
 
     def test_branch_count_capped(self, gf8):
-        # (Y - a^2 X)(Y - a^4 X) has two rational roots; the cap is deg_Y = 2
+        # (Y - a^2 X)(Y - a^4 X) has two rational roots, one branch each, and deg_Y = 2
         r1 = UniPoly(gf8, [0, gf8.from_exponent(2)])
         r2 = UniPoly(gf8, [0, gf8.from_exponent(4)])
         h = BiPoly(gf8, [r1.mul(r2), r1 + r2, UniPoly.one(gf8)])
         branches = rr_power_series(h, 4)
-        assert len(branches) <= 2
+        assert sorted(branches) == sorted([r1.to_json() + [0, 0], r2.to_json() + [0, 0]])
 
-    def test_cap_drops_are_counted(self, gf8):
-        # two rational roots under a cap of one: the second branch is cut at every level
-        r1 = UniPoly(gf8, [0, gf8.from_exponent(2)])
-        r2 = UniPoly(gf8, [0, gf8.from_exponent(4)])
-        h = BiPoly(gf8, [r1.mul(r2), r1 + r2, UniPoly.one(gf8)])
-        assert len(_rr_levels(h, 4)[0]) == 2 and _rr_levels(h, 4)[1] == 0
-        level, dropped = _rr_levels(h, 4, cap=1)
-        assert len(level) == 1 and dropped > 0
-
-    def test_deg_y_cap_never_binds(self, gf8):
+    def test_levels_never_outgrow_deg_y(self, gf8):
         # a child's m(0, Y) has Y-degree at most its root's multiplicity in the
-        # parent's, so no level outgrows deg_Y(h) and the cap drops nothing
+        # parent's, so no level holds more than deg_Y(h) branches
         rng = random.Random(19)
         for _ in range(200):
             rows = [[c if rng.random() < 0.4 else 0 for c in random_unipoly(gf8, rng, 4).coeffs] for _ in range(4)]
             h = BiPoly.from_arrays(gf8, rows)
             if not h.is_zero:
-                assert rr_power_series(h, 5).dropped == 0
+                bound = max(len(h.ycoeffs) - 1, 1)
+                for d in range(1, 6):
+                    assert len(_rr_levels(h, d)) <= bound
 
 
 class TestBerlekampMassey:
     def test_all_zero_branch(self, gf8):
-        pair, status = berlekamp_massey(gf8, SyndromeBranch([0] * 8))
+        pair, status = berlekamp_massey(gf8, [0] * 8)
         assert status == ACCEPTED
         assert pair.sigma == UniPoly.one(gf8)
         assert pair.omega.is_zero
-        assert pair.t == 0
+        assert pair.sigma.degree == 0
 
     def test_worked_problemd_branch(self, gf8):
         a = gf8.from_exponent
-        branch = SyndromeBranch([gf8.parse_element(s) for s in gt.ERROR_BRANCH_SYNDROMES])
-        pair, status = berlekamp_massey(gf8, branch)
+        pair, status = berlekamp_massey(gf8, [gf8.parse_element(s) for s in gt.ERROR_BRANCH_SYNDROMES])
         assert status == ACCEPTED
         assert pair.sigma.to_json() == [1, a(5)]
         assert pair.omega.to_json() == [a(5)]
-        assert pair.t == 1
+        assert pair.sigma.degree == 1
 
     def test_rule_b_rejection(self, gf8):
         a = gf8.from_exponent
-        branch = SyndromeBranch([a(5), a(3), 0, 0])
-        pair, status = berlekamp_massey(gf8, branch)
+        seq = [a(5), a(3), 0, 0]
+        pair, status = berlekamp_massey(gf8, seq)
         assert pair is None and status in (DEGREE_EXCEEDS_TAU, CONVOLUTION_NONZERO_TAIL)
         # brute force: no sigma of degree <= 2 with sigma(0)=1 generates the
         # sequence with an all-zero convolution tail
-        seq = branch.gammas
         for c1, c2 in itertools.product(range(8), repeat=2):
             sigma = UniPoly(gf8, [1, c1, c2])
             t = int(sigma.degree) if not sigma.is_zero else 0
@@ -156,7 +144,7 @@ class TestBerlekampMassey:
                     break
             tau = rng.randint(t, t + 2)
             series = _power_series_ratio(f, omega, sigma, 2 * tau)
-            pair, status = berlekamp_massey(f, SyndromeBranch(series))
+            pair, status = berlekamp_massey(f, series)
             assert status == ACCEPTED
             assert pair.sigma == sigma and pair.omega == omega
 
@@ -172,7 +160,7 @@ class TestBerlekampMassey:
             sigma = sigma.scale(gf8.inv(sigma.coef(0)))
             omega = UniPoly.constant(gf8, rng.randrange(1, 8))
             series = _power_series_ratio(gf8, omega, sigma, 8)
-            pair, status = berlekamp_massey(gf8, SyndromeBranch(series))
+            pair, status = berlekamp_massey(gf8, series)
             assert status == ACCEPTED
             best = None
             for degree in range(0, 3):
@@ -242,14 +230,14 @@ class TestErrorValues:
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
-        pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)), 1)
+        pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)))
         values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert status == ACCEPTED and values == {1: a(4)}
 
     def test_empty_locations(self, gf8, worked_ctx, worked_rset):
         from rslist.factorization import LocatorEvaluatorPair
 
-        pair = LocatorEvaluatorPair(UniPoly.one(gf8), UniPoly.zero(gf8), 0)
+        pair = LocatorEvaluatorPair(UniPoly.one(gf8), UniPoly.zero(gf8))
         values, status = error_values(pair, worked_ctx.g, [], worked_rset)
         assert status == ACCEPTED and values == {}
 
@@ -260,7 +248,7 @@ class TestErrorValues:
         # omega vanishing at the error location forces e_i = 0 (rule d)
         sigma = UniPoly(gf8, [1, a(5)])
         omega = x_plus(gf8, a(2))
-        pair = LocatorEvaluatorPair(sigma, omega, 1)
+        pair = LocatorEvaluatorPair(sigma, omega)
         values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert values is None and status == ZERO_ERROR_VALUE
 
@@ -284,7 +272,7 @@ class TestCorrectedMessage:
 class TestFactorReduced:
     def test_worked_problemd(self, gf8, worked_h, worked_ctx, worked_rset):
         a = gf8.from_exponent
-        cands, _ = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
+        cands = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert {tuple(c.f.to_json()) for c in accepted} == {(a(5), a(6)), (a(6), a(2))}
         by_f = {tuple(c.f.to_json()): c for c in accepted}
@@ -296,7 +284,7 @@ class TestFactorReduced:
         assert witherr.error_positions == [1] and witherr.error_values == {1: a(4)}
 
     def test_pure_y_gives_e(self, gf8, worked_ctx, worked_rset):
-        cands, _ = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
+        cands = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
         accepted = [c for c in cands if c.accepted]
         assert len(accepted) == 1
         assert accepted[0].f == worked_rset.e_poly
