@@ -65,9 +65,8 @@ def univariate_roots(p: UniPoly) -> list[int]:
     """All distinct roots in the field, by exhaustive evaluation in element order."""
     if p.is_zero:
         raise ZeroPolynomial("every element is a root of 0")
-    elems = np.array(p.field.all_elements(), dtype=np.int32)
-    values = p.eval_many(elems)
-    return [int(v) for v in elems[values == 0]]
+    elems = p.field.elements
+    return elems[p.eval_many(elems) == 0].tolist()
 
 
 def _strip_x(m: BiPoly) -> BiPoly:

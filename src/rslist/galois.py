@@ -49,7 +49,8 @@ class Field:
     log of a != 0 and `log[0]` is the sentinel Z = 2(q-1); `exp` has
     4(q-1)+1 entries, alpha^i at i and at i + (q-1) for i < q-1, and 0 from
     index Z on. A product is `exp[log[a] + log[b]]`, and any sum that
-    involves a zero operand lands in the zero tail. `vmul(a, b)` takes an
+    involves a zero operand lands in the zero tail. `elements` lists the
+    field in the order 0, 1, alpha, ..., alpha^(q-2). `vmul(a, b)` takes an
     array `a` and either an array of the same shape or one element `b`.
 
     Counting convention: every scalar product counts one multiplication
@@ -57,11 +58,11 @@ class Field:
     multiplication per slot of `a`, as a dense software loop would. Inverse
     lookups are free; div and pow count one multiplication each.
 
-    The tables are immutable after construction, and a Field holds nothing
-    else, so threads and asyncio tasks may share one. Counts go to the
-    counter of the running context, not to the Field: `count_into` scopes
-    a caller-owned counter for the current thread or task, and `counter`
-    reads the one in force.
+    A Field holds only these tables and its parameters, all immutable after
+    construction, so threads and asyncio tasks may share one. Counts go to
+    the counter of the running context, not to the Field: `count_into`
+    scopes a caller-owned counter for the current thread or task, and
+    `counter` reads the one in force.
     """
 
     def __init__(self, m: int, prim_poly: int) -> None:
@@ -93,8 +94,9 @@ class Field:
         exp[q - 1 : zero_log] = exp[: q - 1]
         self.exp = exp
         self.log = log
-        self.exp.setflags(write=False)
-        self.log.setflags(write=False)
+        self.elements = np.concatenate(([0], exp[: q - 1])).astype(np.int32)
+        for table in (self.exp, self.log, self.elements):
+            table.setflags(write=False)
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -128,8 +130,8 @@ class Field:
         return int(self.exp[i % (self.q - 1)])
 
     def all_elements(self) -> list[int]:
-        """0, 1, alpha, alpha^2, ..., alpha^(q-2)."""
-        return [0] + [int(self.exp[i]) for i in range(self.q - 1)]
+        """0, 1, alpha, alpha^2, ..., alpha^(q-2): the array `elements` as a list."""
+        return self.elements.tolist()
 
     # -- vector kernels (dense counting) -----------------------------------
 

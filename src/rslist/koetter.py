@@ -14,12 +14,15 @@ capacity W that is doubled on demand.
 Every constraint of a point is a mixed Hasse derivative of the basis at
 that point, so each point keeps one table D[j, a, b], the discrepancy of
 G_j for constraint (a, b), for a and b below the multiplicity. Its first
-constraint builds it: a Hasse table H[j, l, s], the order-s derivative at
-x of row Y^l of G_j, takes one log/antilog gather per order s over the
-box, and D[j, a, b] = sum over l of C(l, b) y^(l - b) H[j, l, a] folds it
-(order a - v + l at a T* point, only l = b at y = 0). A constraint's
-discrepancies are then the column D[:, a, b]. The update adds ratio *
-pivot to the other live polynomials and multiplies the pivot by (X - x).
+constraint builds it through a Hasse table H[j, l, s], the order-s
+derivative at x of row Y^l of G_j. H takes one log/antilog gather over the
+box, for the terms c_i x^i, and one XOR fold of them by a period p = 2^e >=
+the number of orders: by Lucas's theorem C(i, s) is odd iff i & s = s, and
+for s < p that depends only on i mod p. Then D[j, a, b] = sum over l of
+C(l, b) y^(l - b) H[j, l, a] (order a - v + l at a T* point, only l = b at
+y = 0). A constraint's discrepancies are the column D[:, a, b]. The update
+adds ratio * pivot to the other live polynomials and multiplies the pivot
+by (X - x), sweeping only the pivot's rows up to its last nonzero one.
 D is linear in the basis, so it takes the same exact step: D[others] ^=
 ratio * D[t], and the pivot's a-axis moves up by one with a = 0 cleared,
 since multiplying by X - x does that to the Hasse derivatives at x. At a
@@ -201,7 +204,7 @@ def constraint_schedule(mult: int):
 
 
 MIN_WIDTH = 8  # initial capacity of the basis tensor's X axis
-GATHER_BLOCK = 1 << 15  # entries per block of a Hasse-table gather
+GATHER_BLOCK = 1 << 15  # entries per block of the Hasse table's gather and fold
 
 
 class BasisTensor:
@@ -282,31 +285,46 @@ class ConstraintPoint:
         """Fill the discrepancy table from the basis, through the point's Hasse table.
 
         H[j, l, s], the order-s Hasse derivative at x of row Y^l of G_j, is
-        the XOR of coeffs[j, l, i] x^(i - s) over the slots s <= i with
-        C(i, s) odd: one log/antilog gather per order s < `orders`. The
-        weights' logs are reduced below q - 1, so one coefficient log may be
-        added to them inside `exp`, and the rows go in blocks of about
-        GATHER_BLOCK entries, which bounds the temporaries. At a T* point
-        every row l > v must have zero derivatives of the orders below
-        l - v, or InexactDivision is raised. Then D[j, a, b] is the XOR over
+        x^(-s) times the XOR of u[j, l, i] = coeffs[j, l, i] x^i over the
+        slots i with C(i, s) odd, for s < `orders`. By Lucas's theorem
+        C(i, s) is odd iff i & s = s, which for s below the period p, the
+        least power of 2 >= `orders`, depends only on i mod p. So u takes
+        one log/antilog gather over the box, padded with zero slots to a
+        multiple of p, and is XOR-folded by p into P[j, l, m], m < p; then
+        H[j, l, s] is x^(-s) times the XOR of P[j, l, m] over m & s = s. At
+        x = 0, H[j, l, s] is coeffs[j, l, s]. The logs of x^i are reduced
+        below q - 1, so one coefficient log may be added to them inside
+        `exp`, and the polynomials go in blocks of about GATHER_BLOCK
+        entries, which bounds the temporaries. At a T* point every row
+        l > v must have zero derivatives of the orders below l - v, or
+        InexactDivision is raised. Then D[j, a, b] is the XOR over
         the rows l >= b with C(l, b) odd of y^(l - b) H[j, l, o], where o is
         a, or a - v + l if that is >= 0 at a T* point; at y = 0 only l = b
         counts.
         """
         n, width = len(coeffs), int(sizes.max())
-        lx = int(f.log[self.x]) if self.x else 0
-        hasse = np.empty((n, n, self.orders), dtype=np.int32)
-        for s in range(self.orders):
-            slots = np.arange(s, width)
-            slots = slots[:1] if self.x == 0 else slots[(slots & s) == s]
-            weights = ((slots - s) * lx % (f.q - 1)).astype(np.int32)
-            if slots.size == width - s:
-                slots = slice(s, width)
-            step = max(GATHER_BLOCK // (n * weights.size or 1), 1)
-            for i in range(0, n, step):
-                logs = np.take(f.log, coeffs[:, i : i + step][..., slots])
+        if self.x == 0:
+            hasse = np.zeros((n, n, self.orders), dtype=np.int32)
+            top = min(self.orders, coeffs.shape[2])
+            hasse[..., :top] = coeffs[..., :top]
+        else:
+            period = 1 << (self.orders - 1).bit_length()
+            span = -(-width // period) * period
+            box = coeffs[..., :span]
+            if box.shape[2] < span:
+                box = np.pad(box, ((0, 0), (0, 0), (0, span - box.shape[2])))
+            lx, qm = int(f.log[self.x]), f.q - 1
+            weights = (np.arange(span) * lx % qm).astype(np.int32)
+            folded = np.empty((n, n, period), dtype=np.int32)
+            step = max(GATHER_BLOCK // (n * span), 1)
+            for j in range(0, n, step):
+                logs = np.take(f.log, box[j : j + step])
                 logs += weights
-                hasse[:, i : i + step, s] = np.bitwise_xor.reduce(np.take(f.exp, logs), axis=2)
+                terms = np.take(f.exp, logs).reshape(len(logs), n, span // period, period)
+                folded[j : j + step] = np.bitwise_xor.reduce(terms, axis=2)
+            s, m = np.arange(self.orders)[:, None], np.arange(period)
+            sums = np.bitwise_xor.reduce(folded[:, :, None, :] * ((m & s) == s), axis=3)  # [j, l, s]
+            hasse = np.take(f.exp, np.take(f.log, sums) + (-s[:, 0] * lx % qm).astype(np.int32))
         rows, ab = np.arange(n), np.arange(self.mult)[:, None]
         if self.check is not None:
             bad = np.argwhere((hasse != 0) & self.check)
@@ -385,15 +403,18 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     them. The discrepancies are the table's column (a, b). If all are zero
     nothing changes. Otherwise the order-least polynomial with nonzero
     discrepancy is the pivot: the others gain ratio * pivot, and the pivot
-    is multiplied by (X - x). The table takes the same step, which is exact
-    because it is linear in the basis: table[others] ^= ratio * table[t],
-    and the pivot's a-axis moves up by one with a = 0 cleared, since
-    multiplying by X - x does that to each Hasse order at x. At a T* point
-    the a = 0 entries are H[t, l, l - v - 1] before the step, zero for
-    l > v by the divisibility that the updates keep. Per other live
-    polynomial the update charges one multiplication for its ratio, the
-    pivot's length for the scaling and, as additions, the overlap of the two
-    polynomials' rows; the pivot's product charges its length again.
+    is multiplied by (X - x). Both sweep only the pivot's box, up to its
+    longest row's length and its last nonzero row: the pivot is zero past
+    both, so the skipped sums and shifts would change nothing. The table
+    takes the same step, which is exact because it is linear in the
+    basis: table[others] ^= ratio * table[t], and the pivot's a-axis moves
+    up by one with a = 0 cleared, since multiplying by X - x does that to
+    each Hasse order at x. At a T* point the a = 0 entries are
+    H[t, l, l - v - 1] before the step, zero for l > v by the divisibility
+    that the updates keep. Per other live polynomial the update charges
+    one multiplication for its ratio, the pivot's length for the scaling
+    and, as additions, the overlap of the two polynomials' rows; the
+    pivot's product charges its length again.
     """
     f = basis.field
     coeffs, sizes = basis.coeffs, basis.sizes
@@ -417,12 +438,13 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     ctr.multiplications += others.size * (1 + pivot_size) + pivot_size
     ctr.additions += int(np.minimum(sizes[others], sizes[t]).sum())
     wt = int(sizes[t].max())
-    logt = np.take(f.log, coeffs[t, :, :wt])
+    lt = len(sizes[t]) - int(np.argmax(sizes[t, ::-1] > 0))  # the pivot's rows from lt on are zero
+    logt = np.take(f.log, coeffs[t, :lt, :wt])
     if others.size:
         logd = np.take(f.log, table[t])
         ratios = (f.log[deltas[others]] - f.log[deltas[t]]) % (f.q - 1)
         for j, ratio in zip(others, ratios):
-            coeffs[j, :, :wt] ^= np.take(f.exp, logt + ratio)
+            coeffs[j, :lt, :wt] ^= np.take(f.exp, logt + ratio)
             table[j] ^= np.take(f.exp, logd + ratio)
         # a row keeps the longer length unless both had the same one: then trim it
         old = sizes[others]
@@ -433,9 +455,9 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
             sizes[others[js], ls] = np.where(nonzero.any(1), wt - nonzero[:, ::-1].argmax(1), 0)
     if wt == coeffs.shape[2]:
         coeffs = basis.coeffs = np.concatenate((coeffs, np.zeros_like(coeffs)), axis=2)
-    coeffs[t, :, 1 : wt + 1] = coeffs[t, :, :wt]
-    coeffs[t, :, 0] = 0
-    coeffs[t, :, :wt] ^= np.take(f.exp, logt + f.log[point.x])
+    coeffs[t, :lt, 1 : wt + 1] = coeffs[t, :lt, :wt]
+    coeffs[t, :lt, 0] = 0
+    coeffs[t, :lt, :wt] ^= np.take(f.exp, logt + f.log[point.x])
     sizes[t] += sizes[t] > 0
     table[t, 1:] = table[t, :-1]
     table[t, 0] = 0

@@ -113,6 +113,8 @@ class TestArithmetic:
         assert elems[0] == 0 and elems[1] == 1
         assert elems[2] == gf8.from_exponent(1)
         assert len(set(elems)) == 8
+        assert elems == gf8.elements.tolist() and all(type(e) is int for e in elems)
+        assert not gf8.elements.flags.writeable
 
     @pytest.mark.parametrize("field_name", ["gf8", "gf16"])
     def test_field_axioms_exhaustive(self, field_name, request):

@@ -28,7 +28,7 @@ from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 import golden_tables as gt
 import reference_koetter
-from conftest import random_planted_problem, random_repeated_x_problem
+from conftest import random_bipoly, random_planted_problem, random_repeated_x_problem
 from poly_helpers import multiplicity_at, taylor_shift, x_plus
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
@@ -337,6 +337,19 @@ class TestMatchesReferenceEngine:
             raised += got[0] == "InexactDivision"
         assert 0 < raised < self.CASES
 
+    def test_direct_path_high_multiplicity(self, gf16):
+        # multiplicities up to 7 give pivots whose last nonzero rows sit below Y^r, so the
+        # update's sweeps over the pivot's live rows only are held to the per-polynomial loop
+        rng = random.Random(85)
+        wide = high = 0
+        for _ in range(8):
+            prob = random_planted_problem(rng, [gf16], max_constraints=40, max_mult=7)[0]
+            res = self.assert_same(solve, reference_koetter.solve, gf16, prob)
+            rows = len(res.basis.polys)
+            wide += rows >= 8 and any(len(p.ycoeffs) < rows for p in res.basis.polys)
+            high += max(p.mult for p in prob.points) >= 5
+        assert wide >= 3 and high >= 3
+
     def test_direct_calls_charge_each_point(self, gf8, gf16):
         # a point's discrepancy charges wait for its last constraint, so a caller that imposes
         # a point's schedule through update_basis must still be charged all of it
@@ -453,3 +466,26 @@ class TestHasseTable:
                 shifted = [taylor_shift(p, pt.x, pt.y) for p in state.polys]
                 want = [[[p.ycoef(b).coef(a) for b in range(pt.mult)] for a in range(pt.mult)] for p in shifted]
                 np.testing.assert_array_equal(point.table, want)
+
+    def test_build_folds_exactly(self, gf16):
+        # multiplicities 5-9 take the period-8 and period-16 folds of the Hasse table; rows
+        # shorter than 8 keep the capacity at MIN_WIDTH, so a period-16 span reaches past it
+        rng = random.Random(94)
+        periods, ragged, past_capacity = set(), 0, 0
+        for case in range(48):
+            r = rng.randint(1, 4)
+            polys = [random_bipoly(gf16, rng, rng.choice([3, 6, 11, 20]), r) for _ in range(r + 1)]
+            basis = BasisTensor(BasisState(polys, MonomialOrder.weighted(2)))
+            x = 0 if case % 4 == 0 else rng.randrange(1, gf16.q)
+            y = 0 if case % 4 == 1 else rng.randrange(gf16.q)
+            pt = InterpolationPoint(x, y, rng.randint(5, 9))
+            point = ConstraintPoint(gf16, pt, r)
+            point.build(gf16, basis.coeffs, basis.sizes)
+            shifted = [taylor_shift(p, x, y) for p in polys]
+            want = [[[p.ycoef(b).coef(a) for b in range(pt.mult)] for a in range(pt.mult)] for p in shifted]
+            np.testing.assert_array_equal(point.table, want)
+            period, width = 1 << (pt.mult - 1).bit_length(), int(basis.sizes.max())
+            periods.add(period)
+            ragged += width % period != 0
+            past_capacity += -(-width // period) * period > basis.coeffs.shape[2]
+        assert periods == {8, 16} and ragged >= 10 and past_capacity >= 3
