@@ -56,7 +56,12 @@ class Field:
     Counting convention: every scalar product counts one multiplication
     (including products by 0 or 1), and vector kernels count one
     multiplication per slot of `a`, as a dense software loop would. Inverse
-    lookups are free; div and pow count one multiplication each.
+    lookups are free; div counts one multiplication. A kernel that batches
+    such a loop charges what the loop would: `polynomials.root_product`
+    charges N(N+1)/2 multiplications and no additions for N linear factors,
+    as the chain of N multiplications by X + x_i from 1 does, and
+    `UniPoly.eval_many` charges n - 1 per point for n coefficients, as
+    Horner's rule does.
 
     A Field holds only these tables and its parameters, all immutable after
     construction, so threads and asyncio tasks may share one. Counts go to
@@ -104,10 +109,6 @@ class Field:
         _ACTIVE_COUNTER.get().multiplications += 1
         return int(self.exp[self.log[a] + self.log[b]])
 
-    def add(self, a: int, b: int) -> int:
-        _ACTIVE_COUNTER.get().additions += 1
-        return a ^ b
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
@@ -115,16 +116,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        _ACTIVE_COUNTER.get().multiplications += 1
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DivisionByZero("negative power of 0")
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % (self.q - 1)])
 
     def from_exponent(self, i: int) -> int:
         return int(self.exp[i % (self.q - 1)])

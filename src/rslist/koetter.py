@@ -53,7 +53,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .galois import Field
-from .polynomials import BiPoly, InexactDivision, MonomialOrder, UniPoly
+from .polynomials import GATHER_BLOCK, BiPoly, InexactDivision, MonomialOrder, UniPoly
 
 
 class DuplicatePoint(ValueError):
@@ -151,19 +151,6 @@ class BasisState:
     def minimal(self) -> BiPoly:
         return self.polys[self.ascending()[0]]
 
-    def validate(self) -> None:
-        keys = set()
-        for j, p in enumerate(self.polys):
-            lead = p.leading_monomial(self.order)[:2]
-            if lead != tuple(self.leadings[j]):
-                raise AssertionError(f"stale leading monomial for basis index {j}")
-            if lead[1] != j:
-                raise AssertionError(f"leading Y-degree {lead[1]} != index {j}")
-            key = self.order.key(*lead)
-            if key in keys:
-                raise AssertionError("leading monomials not distinct")
-            keys.add(key)
-
 
 @dataclass
 class TraceRow:
@@ -204,7 +191,6 @@ def constraint_schedule(mult: int):
 
 
 MIN_WIDTH = 8  # initial capacity of the basis tensor's X axis
-GATHER_BLOCK = 1 << 15  # entries per block of the Hasse table's gather and fold
 
 
 class BasisTensor:

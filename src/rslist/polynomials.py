@@ -17,6 +17,7 @@ import numpy as np
 from .galois import Field
 
 NEG_INF = float("-inf")
+GATHER_BLOCK = 1 << 15  # entries per block of a batched log/antilog gather: bounds the temporaries
 
 
 class ZeroPolynomial(ValueError):
@@ -76,10 +77,6 @@ class UniPoly:
     def one(cls, field: Field) -> "UniPoly":
         return cls(field, [1])
 
-    @classmethod
-    def constant(cls, field: Field, c: int) -> "UniPoly":
-        return cls(field, [c])
-
     # -- basics ----------------------------------------------------------------
 
     @property
@@ -134,15 +131,6 @@ class UniPoly:
 
     __mul__ = mul
 
-    def mul_linear(self, c: int) -> "UniPoly":
-        """Multiply by (X + c)."""
-        if self.is_zero:
-            return self
-        out = np.zeros(self.coeffs.size + 1, dtype=np.int32)
-        out[1:] = self.coeffs
-        out[:-1] ^= self.field.vmul(self.coeffs, c)
-        return UniPoly(self.field, out)
-
     def shift_up(self, s: int) -> "UniPoly":
         """Multiply by X^s."""
         if self.is_zero or s == 0:
@@ -161,15 +149,35 @@ class UniPoly:
         return acc
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Horner evaluation at a vector of points."""
+        """Values at a vector of points, as one gather per block of points.
+
+        p(x) is the XOR over i of c_i x^i = exp[log c_i + w], w = i log x mod
+        (q - 1), where a zero c_i's log is the sentinel that lands in exp's
+        zero tail; at x = 0 it is c_0. As q - 1 = 2^m - 1, two folds of w's
+        high bits onto its low ones reduce it to [0, q - 1], where exp is
+        periodic. The points go in blocks of about GATHER_BLOCK terms.
+        Charges (n - 1) len(xs) multiplications for n coefficients, as
+        Horner's rule does, and nothing for the zero polynomial.
+        """
         xs = np.asarray(xs, dtype=np.int32)
         if self.is_zero:
             return np.zeros_like(xs)
-        f = self.field
-        acc = np.full_like(xs, int(self.coeffs[-1]))
-        for i in range(self.coeffs.size - 2, -1, -1):
-            acc = f.vmul(acc, xs) ^ int(self.coeffs[i])
-        return acc
+        f, n = self.field, self.coeffs.size
+        f.counter.multiplications += (n - 1) * xs.size
+        qm = f.q - 1
+        flat = xs.ravel()
+        out = np.empty(flat.size, dtype=np.int32)
+        logc = f.log[self.coeffs].astype(np.uint32)
+        powers = (np.arange(n) % qm).astype(np.uint32)
+        step = max(GATHER_BLOCK // n, 1)
+        for s in range(0, flat.size, step):
+            w = (f.log[flat[s : s + step]] % qm).astype(np.uint32)[:, None] * powers
+            for _ in range(2):
+                w = (w & qm) + (w >> f.m)
+            w += logc
+            out[s : s + step] = np.bitwise_xor.reduce(np.take(f.exp, w), axis=1)
+        out[flat == 0] = self.coeffs[0]
+        return out.reshape(xs.shape)
 
     def formal_derivative(self) -> "UniPoly":
         """First-order Hasse derivative; in characteristic 2 this keeps c_{i+1} for even i."""
@@ -222,10 +230,6 @@ class UniPoly:
     def to_json(self) -> list[int]:
         return [int(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, field: Field, obj) -> "UniPoly":
-        return cls(field, [field.parse_element(c) for c in obj])
-
     def __repr__(self) -> str:
         return f"UniPoly({self.to_text()})"
 
@@ -260,10 +264,6 @@ class BiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.ycoeffs
-
-    @property
-    def y_degree(self):
-        return len(self.ycoeffs) - 1 if self.ycoeffs else NEG_INF
 
     def ycoef(self, j: int) -> UniPoly:
         return self.ycoeffs[j] if 0 <= j < len(self.ycoeffs) else UniPoly.zero(self.field)
@@ -365,12 +365,90 @@ class BiPoly:
     def to_json(self) -> list[list[int]]:
         return [c.to_json() for c in self.ycoeffs]
 
-    @classmethod
-    def from_json(cls, field: Field, obj) -> "BiPoly":
-        return cls(field, [UniPoly.from_json(field, row) for row in obj])
-
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
+
+
+def dense_products(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row p is the coefficient array of the product of rows a[p] and b[p]; uncounted.
+
+    A block of rows of the shorter factor takes one log/antilog outer
+    product with the longer one, T[p, i, j] = a[p, i] b[p, j], padded to
+    rows of one slot more than its anti-diagonal sums need. Read back with
+    one slot less per row, row i of T moves right by i, so entry (i, j) lands
+    in column i + j and an XOR down the rows sums the anti-diagonals. The
+    blocks hold about GATHER_BLOCK terms, so the temporaries stay O(block)
+    whatever the sizes.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    pairs, la = a.shape
+    lb = b.shape[1]
+    out = np.zeros((pairs, la + lb - 1), dtype=np.int32)
+    rows = min(la, max(GATHER_BLOCK // lb, 1))
+    step = max(GATHER_BLOCK // (rows * lb), 1)
+    loga, logb = field.log[a], field.log[b]
+    for p in range(0, pairs, step):
+        for i in range(0, la, rows):
+            block = loga[p : p + step, i : i + rows]
+            n, r = block.shape
+            terms = np.zeros((n, r, r + lb), dtype=np.int32)
+            terms[:, :, :lb] = np.take(field.exp, block[:, :, None] + logb[p : p + step, None, :])
+            sums = terms.reshape(n, -1)[:, : r * (r + lb - 1)].reshape(n, r, r + lb - 1)
+            out[p : p + step, i : i + r + lb - 1] ^= np.bitwise_xor.reduce(sums, axis=1)
+    return out
+
+
+def subproduct(field: Field, roots: np.ndarray) -> np.ndarray:
+    """Coefficients of prod_i (X + roots[i]), for at least one root; uncounted.
+
+    A subproduct tree: each level multiplies all its pairs in one
+    `dense_products` call, and a level of odd length gets a factor 1.
+    """
+    level = np.stack([roots, np.ones_like(roots)], axis=1)
+    while len(level) > 1:
+        if len(level) % 2:
+            one = np.zeros((1, level.shape[1]), dtype=np.int32)
+            one[0, 0] = 1
+            level = np.concatenate([level, one])
+        level = dense_products(field, level[0::2], level[1::2])
+    return level[0, : roots.size + 1]
+
+
+def root_product(field: Field, xs, exps) -> UniPoly:
+    """prod_i (X + x_i)^(e_i) for exponents e_i >= 0; an x_i may be 0.
+
+    With A_b the `subproduct` of the x_i whose e_i has bit b set, the
+    result P is built by square-and-multiply from the top bit down: P
+    becomes P^2 A_b. A square needs no products in characteristic 2: P^2 =
+    F(X^2), where F holds P's squared coefficients, one gather on the logs
+    (a zero's sentinel log doubles into exp's zero tail). With A = E(X^2) +
+    X O(X^2), P^2 A has F E at the even powers and F O at the odd ones, one
+    `dense_products` call on two rows, half the work of multiplying P^2
+    with its zero odd coefficients.
+
+    Charges N(N+1)/2 multiplications and no additions for N = sum e_i:
+    what the chain of N multiplications by X + x_i, starting from 1,
+    charges under the counting convention.
+    """
+    xs = np.asarray(xs, dtype=np.int32)
+    exps = np.asarray(exps, dtype=np.int64)
+    n = int(exps.sum())
+    field.counter.multiplications += n * (n + 1) // 2
+    out = np.ones(1, dtype=np.int32)
+    for bit in range(int(exps.max(initial=0)).bit_length() - 1, -1, -1):
+        squares = field.exp[2 * field.log[out]]
+        chosen = (exps >> bit) & 1 == 1
+        if not chosen.any():
+            out = np.zeros(2 * squares.size - 1, dtype=np.int32)
+            out[::2] = squares
+            continue
+        a = subproduct(field, xs[chosen])
+        halves = np.zeros(a.size + a.size % 2, dtype=np.int32)
+        halves[: a.size] = a
+        prod = dense_products(field, np.stack([squares, squares]), halves.reshape(-1, 2).T)
+        out = prod.T.reshape(-1)[: 2 * squares.size + a.size - 2]
+    return UniPoly(field, out)
 
 
 LAGRANGE_BLOCK = 256  # points per batched pass: the temporaries stay O(256 k)
@@ -391,7 +469,9 @@ def lagrange_interpolate(field: Field, points) -> UniPoly:
     multiplications for the division (each of its k steps multiplies by the
     divisor's inverted lead and updates 2 slots), k - 1 for Horner, 1 for
     the division of y_i and k for the scaling, plus the trimmed size of the
-    running sum before the point as additions. The master costs k(k+1)/2.
+    running sum before the point as additions. The master is one
+    `root_product` call and still costs k(k+1)/2, what the chain of k
+    multiplications by X + x_j from 1 charges.
     """
     pts = list(points)
     if not pts:
@@ -399,11 +479,8 @@ def lagrange_interpolate(field: Field, points) -> UniPoly:
     xs = [p[0] for p in pts]
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("x-coordinates must be distinct")
-    master = UniPoly.one(field)
-    for x in xs:
-        master = master.mul_linear(x)
-    m = master.coeffs
     k = len(xs)
+    m = root_product(field, xs, np.ones(k, dtype=np.int64)).coeffs
     live = np.array([(x, y) for x, y in pts if y != 0], dtype=np.int32).reshape(-1, 2)
     acc = np.zeros(k, dtype=np.int32)
     acc_size = 0

@@ -26,7 +26,7 @@ from .koetter import (
     n_constraints,
     run_constraints,
 )
-from .polynomials import ORDER_REDUCED, BiPoly, UniPoly, lagrange_interpolate
+from .polynomials import ORDER_REDUCED, BiPoly, UniPoly, lagrange_interpolate, root_product
 
 
 class TooManyErasures(ValueError):
@@ -87,25 +87,19 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
 
     g is the monic product over the re-encoding x's, psi the multiplicity-
     weighted product, and t_j carries the excess (j - v_i)+ factors that any
-    reduced solution's Y^j coefficient must keep. Remaining points split
-    into S (fresh x, divide by g(x)) and T (re-encoding x, divide by g'(x)).
+    reduced solution's Y^j coefficient must keep. Each is one `root_product`
+    call, which charges N(N+1)/2 for its N linear factors, as the chain of
+    multiplications by X + x_i does. Remaining points split into S (fresh x,
+    divide by g(x)) and T (re-encoding x, divide by g'(x)); e, g and g' are
+    evaluated there by `eval_many`, at n - 1 per point for n coefficients.
     """
     f = rset.e_poly.field
-    g = UniPoly.one(f)
-    psi = UniPoly.one(f)
-    v: dict[int, int] = {}
-    for p in rset.points:
-        g = g.mul_linear(p.x)
-        for _ in range(p.mult):
-            psi = psi.mul_linear(p.x)
-        v[p.x] = p.mult
-    tails = []
-    for j in range(r + 1):
-        t = UniPoly.one(f)
-        for p in rset.points:
-            for _ in range(max(j - p.mult, 0)):
-                t = t.mul_linear(p.x)
-        tails.append(t)
+    roots = np.array(rset.xs, dtype=np.int32)
+    mults = np.array([p.mult for p in rset.points], dtype=np.int64)
+    g = root_product(f, roots, np.ones_like(mults))
+    psi = root_product(f, roots, mults)
+    tails = [root_product(f, roots, np.maximum(j - mults, 0)) for j in range(r + 1)]
+    v = {p.x: p.mult for p in rset.points}
     xs = np.array([p.x for p in remaining], dtype=np.int32)
     on_r = np.array([p.x in v for p in remaining], dtype=bool)
     yshift = np.array([p.y for p in remaining], dtype=np.int32) ^ rset.e_poly.eval_many(xs)
@@ -138,15 +132,6 @@ def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResu
     state = run_constraints(state, ctx.s_star + ctx.t_star, trace, ctx.v)
     n_red = ctx.reduced_constraints()
     return SolveResult(state.minimal(), state, n_red, -1, r, trace)
-
-
-def check_tail_divisibility(state: BasisState, ctx: ReducedContext) -> None:
-    """Assert every basis polynomial's Y^l coefficient is divisible by t_l."""
-    for p in state.polys:
-        for ell, c in enumerate(p.ycoeffs):
-            if c.is_zero or ell >= len(ctx.tails):
-                continue
-            c.exact_div(ctx.tails[ell])
 
 
 def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, ReducedContext, int, int]:

@@ -1,18 +1,86 @@
-"""Polynomial helpers that only the tests use: shifts, multiplicities and weighted degrees.
+"""Field and polynomial helpers that only the tests use: shifts, multiplicities,
+weighted degrees and the invariant checks.
 
-They charge the field counter through the library's dense `UniPoly`/`BiPoly`
-kernels, as the library's own routines do.
+They charge the field counter as the library's own kernels do: one
+multiplication per scalar product or power and one per slot of a vector
+product, one addition per scalar sum.
 """
 
 import numpy as np
 
-from rslist.koetter import InterpolationPoint, InterpolationProblem
+from rslist.galois import DivisionByZero
+from rslist.koetter import BasisState, InterpolationPoint, InterpolationProblem
 from rslist.polynomials import NEG_INF, BiPoly, UniPoly, ZeroPolynomial
+
+
+def field_add(f, a: int, b: int) -> int:
+    """a + b, counted as one addition."""
+    f.counter.additions += 1
+    return a ^ b
+
+
+def field_pow(f, a: int, e: int) -> int:
+    """a^e for any integer e (a != 0 when e < 0), counted as one multiplication."""
+    f.counter.multiplications += 1
+    if a == 0:
+        if e < 0:
+            raise DivisionByZero("negative power of 0")
+        return 1 if e == 0 else 0
+    return int(f.exp[(int(f.log[a]) * e) % (f.q - 1)])
+
+
+def constant(f, c: int) -> UniPoly:
+    """The constant polynomial c (zero when c is 0)."""
+    return UniPoly(f, [c])
 
 
 def x_plus(f, c: int) -> UniPoly:
     """X + c (equal to X - c in characteristic 2)."""
     return UniPoly(f, [c, 1])
+
+
+def mul_linear(p: UniPoly, c: int) -> UniPoly:
+    """p * (X + c), charging one multiplication per coefficient of p."""
+    if p.is_zero:
+        return p
+    out = np.zeros(p.coeffs.size + 1, dtype=np.int32)
+    out[1:] = p.coeffs
+    out[:-1] ^= p.field.vmul(p.coeffs, c)
+    return UniPoly(p.field, out)
+
+
+def y_degree(p: BiPoly):
+    """Degree in Y; -inf for the zero polynomial."""
+    return len(p.ycoeffs) - 1 if p.ycoeffs else NEG_INF
+
+
+def bipoly_from_json(f, obj) -> BiPoly:
+    """The inverse of `BiPoly.to_json`; elements may be written as `Field.parse_element` takes them."""
+    return BiPoly(f, [UniPoly(f, [f.parse_element(c) for c in row]) for row in obj])
+
+
+def validate_basis(state: BasisState) -> None:
+    """Assert that the kept leading monomials are current, have Y-degree j at index j and are distinct."""
+    keys = set()
+    for j, p in enumerate(state.polys):
+        lead = p.leading_monomial(state.order)[:2]
+        if lead != tuple(state.leadings[j]):
+            raise AssertionError(f"stale leading monomial for basis index {j}")
+        if lead[1] != j:
+            raise AssertionError(f"leading Y-degree {lead[1]} != index {j}")
+        key = state.order.key(*lead)
+        if key in keys:
+            raise AssertionError("leading monomials not distinct")
+        keys.add(key)
+
+
+def check_tail_divisibility(state: BasisState, ctx) -> None:
+    """Assert every basis polynomial's Y^l coefficient is divisible by the context's t_l."""
+    for p in state.polys:
+        for ell, c in enumerate(p.ycoeffs):
+            if c.is_zero or ell >= len(ctx.tails):
+                continue
+            c.exact_div(ctx.tails[ell])
 
 
 def uni_taylor_shift(p: UniPoly, x: int) -> UniPoly:
@@ -21,7 +89,7 @@ def uni_taylor_shift(p: UniPoly, x: int) -> UniPoly:
         return p
     acc = UniPoly.zero(p.field)
     for i in range(p.coeffs.size - 1, -1, -1):
-        acc = acc.mul_linear(x) + UniPoly.constant(p.field, int(p.coeffs[i]))
+        acc = mul_linear(acc, x) + constant(p.field, int(p.coeffs[i]))
     return acc
 
 

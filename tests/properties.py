@@ -5,7 +5,7 @@ from rslist.polynomials import BiPoly, UniPoly, reconstruct
 from rslist.reencoding import ReencodingSet, build_context
 
 from conftest import random_bipoly, random_unipoly
-from poly_helpers import multiplicity_at, sub_y_scale, wdeg, x_plus
+from poly_helpers import mul_linear, multiplicity_at, sub_y_scale, wdeg, x_plus
 
 
 def check_scale_substitution_multiplicity(rng, fields, cases):
@@ -163,7 +163,7 @@ def check_reduced_point_multiplicity_maps(rng, fields, cases):
             gamma = f.div(beta, gp)
             xp = [UniPoly.one(f)]
             for _ in range(max(vi, ctx.r) + 1):
-                xp.append(xp[-1].mul_linear(alpha))
+                xp.append(mul_linear(xp[-1], alpha))
             hprime = _transformed_basis_poly(h, alpha, vi, xp)
             assert multiplicity_at(qprime, alpha, beta) == multiplicity_at(hprime, alpha, gamma)
 

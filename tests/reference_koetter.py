@@ -22,6 +22,8 @@ from rslist.koetter import (
 )
 from rslist.polynomials import ORDER_REDUCED, BiPoly, MonomialOrder, UniPoly
 
+from poly_helpers import mul_linear
+
 
 def shifted_coef(p: BiPoly, x: int, y: int, a: int, b: int, xpowers=None, ypowers=None) -> int:
     """coef(p(X+x, Y+y); X^a Y^b) without materializing the full shift.
@@ -82,7 +84,7 @@ def update_basis(state: BasisState, x: int, discrepancy_fn) -> BasisState:
             continue
         ratio = f.mul(deltas[j], inv_dt)
         new_polys[j] = polys[j] + polys[t].scale(ratio)
-    new_polys[t] = BiPoly(f, [u.mul_linear(x) for u in polys[t].ycoeffs])
+    new_polys[t] = BiPoly(f, [mul_linear(u, x) for u in polys[t].ycoeffs])
     la, lb = state.leadings[t]
     new_leadings[t] = (la + 1, lb)
     return BasisState(new_polys, state.order, new_leadings)
@@ -162,7 +164,7 @@ def transformed_discrepancy(v: dict[int, int], f: Field, r: int):
         max_pow = max(vi, r - vi, 1)
         xp_powers = [UniPoly.one(f)]
         for _ in range(max_pow):
-            xp_powers.append(xp_powers[-1].mul_linear(pt.x))
+            xp_powers.append(mul_linear(xp_powers[-1], pt.x))
         ypow = f.vpowers(pt.y, r) if pt.y else None
 
         def at_constraint(state: BasisState, a: int, b: int):

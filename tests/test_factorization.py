@@ -24,7 +24,7 @@ from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpo
 from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
 
 from conftest import random_unipoly
-from poly_helpers import x_plus
+from poly_helpers import constant, mul_linear, x_plus, y_degree
 import golden_tables as gt
 
 
@@ -66,7 +66,7 @@ class TestPowerSeries:
 
     def test_constant_root(self, gf8):
         c = gf8.from_exponent(4)
-        h = BiPoly(gf8, [UniPoly.constant(gf8, c), UniPoly.one(gf8)])  # Y - c
+        h = BiPoly(gf8, [constant(gf8, c), UniPoly.one(gf8)])  # Y - c
         assert rr_power_series(h, 5) == [[c, 0, 0, 0, 0]]
 
     def test_zero_polynomial_raises(self, gf8):
@@ -136,7 +136,7 @@ class TestBerlekampMassey:
             roots = rng.sample(f.all_elements()[1:], t)
             sigma = UniPoly.one(f)
             for x in roots:
-                sigma = sigma.mul_linear(x)
+                sigma = mul_linear(sigma, x)
             sigma = sigma.scale(f.inv(sigma.coef(0)))  # normalize sigma(0) = 1
             while True:
                 omega = random_unipoly(f, rng, t - 1)
@@ -156,9 +156,9 @@ class TestBerlekampMassey:
             roots = rng.sample(gf8.all_elements()[1:], t)
             sigma = UniPoly.one(gf8)
             for x in roots:
-                sigma = sigma.mul_linear(x)
+                sigma = mul_linear(sigma, x)
             sigma = sigma.scale(gf8.inv(sigma.coef(0)))
-            omega = UniPoly.constant(gf8, rng.randrange(1, 8))
+            omega = constant(gf8, rng.randrange(1, 8))
             series = _power_series_ratio(gf8, omega, sigma, 8)
             pair, status = berlekamp_massey(gf8, series)
             assert status == ACCEPTED
@@ -230,7 +230,7 @@ class TestErrorValues:
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
-        pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)))
+        pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), constant(gf8, a(5)))
         values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
         assert status == ACCEPTED and values == {1: a(4)}
 
@@ -313,7 +313,7 @@ class TestLinearFactorDivisibility:
     def divides_y_linear(self, h, sigma, omega):
         """True when sigma*Y - omega divides h over the polynomial ring."""
         f = h.field
-        r = int(h.y_degree)
+        r = int(y_degree(h))
         if r < 1:
             return h.is_zero
         try:
@@ -326,7 +326,7 @@ class TestLinearFactorDivisibility:
 
     def test_divides_on_example(self, gf8, worked_h):
         a = gf8.from_exponent
-        assert self.divides_y_linear(worked_h, UniPoly(gf8, [1, a(5)]), UniPoly.constant(gf8, a(5)))
+        assert self.divides_y_linear(worked_h, UniPoly(gf8, [1, a(5)]), constant(gf8, a(5)))
         assert self.divides_y_linear(worked_h, UniPoly.one(gf8), UniPoly.zero(gf8))
 
     def test_round_trip_random(self, gf8, gf16):
@@ -364,9 +364,9 @@ class TestLinearFactorDivisibility:
             lam = UniPoly.one(f)
             for i, p in enumerate(rset.points):
                 if i in E:
-                    sigma = sigma.mul_linear(p.x)
+                    sigma = mul_linear(sigma, p.x)
                 else:
-                    lam = lam.mul_linear(p.x)
+                    lam = mul_linear(lam, p.x)
             eta = fpoly + rset.e_poly
             omega = eta.exact_div(lam)
             assert self.divides_y_linear(h, sigma, omega)

@@ -15,6 +15,8 @@ from rslist.galois import (
     OpCounter,
 )
 
+from poly_helpers import field_add, field_pow
+
 
 def carryless_mul_mod(a: int, b: int, prim_poly: int) -> int:
     """Shift-and-add product of two GF(2)[X] bit masks, reduced mod prim_poly; no tables."""
@@ -91,9 +93,9 @@ class TestArithmetic:
 
     def test_add(self, gf8):
         a = gf8.from_exponent
-        assert gf8.add(a(1), a(2)) == a(4)
+        assert field_add(gf8, a(1), a(2)) == a(4)
         for v in gf8.all_elements():
-            assert gf8.add(v, v) == 0
+            assert field_add(gf8, v, v) == 0
 
     def test_inv(self, gf8):
         a = gf8.from_exponent
@@ -103,10 +105,10 @@ class TestArithmetic:
 
     def test_pow(self, gf8):
         a = gf8.from_exponent
-        assert gf8.pow(a(3), 0) == 1
-        assert gf8.pow(a(3), 2) == a(6)
-        assert gf8.pow(a(3), -1) == gf8.inv(a(3))
-        assert gf8.pow(0, 5) == 0
+        assert field_pow(gf8, a(3), 0) == 1
+        assert field_pow(gf8, a(3), 2) == a(6)
+        assert field_pow(gf8, a(3), -1) == gf8.inv(a(3))
+        assert field_pow(gf8, 0, 5) == 0
 
     def test_all_elements_order(self, gf8):
         elems = gf8.all_elements()
@@ -124,7 +126,7 @@ class TestArithmetic:
         ref = [carryless_mul_mod(x, y, f.prim_poly) for x, y in pairs]
         for (x, y), xy in zip(pairs, ref):
             assert f.mul(x, y) == f.mul(y, x) == xy
-            assert f.add(x, y) == f.add(y, x)
+            assert field_add(f, x, y) == field_add(f, y, x)
         xs, ys = np.array(pairs, dtype=np.int32).T
         assert f.vmul(xs, ys).tolist() == ref
         column = np.array(elems, dtype=np.int32)
@@ -132,8 +134,8 @@ class TestArithmetic:
             assert f.vmul(column, s).tolist() == [xy for (_, y), xy in zip(pairs, ref) if y == s]
         for x, y, z in itertools.product(elems, repeat=3):
             assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-            assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-            assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
+            assert field_add(f, field_add(f, x, y), z) == field_add(f, x, field_add(f, y, z))
+            assert f.mul(x, field_add(f, y, z)) == field_add(f, f.mul(x, y), f.mul(x, z))
         for x in elems[1:]:
             assert f.mul(x, f.inv(x)) == 1
 
@@ -141,7 +143,7 @@ class TestArithmetic:
     def test_fermat(self, field_name, request):
         f = request.getfixturevalue(field_name)
         for x in f.all_elements()[1:]:
-            assert f.pow(x, f.q - 1) == 1
+            assert field_pow(f, x, f.q - 1) == 1
 
 
 class TestCounting:

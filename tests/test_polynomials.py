@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from rslist import polynomials
 from rslist.galois import GF8_POLY, GF16_POLY, GF256_POLY, Field, OpCounter
 from rslist.polynomials import (
     NEG_INF,
@@ -13,12 +16,23 @@ from rslist.polynomials import (
     ZeroPolynomial,
     lagrange_interpolate,
     reconstruct,
+    root_product,
 )
 
 import properties
 from conftest import parse_poly_text, random_bipoly, random_unipoly
 from golden_tables import Q_DIRECT, Q_SHIFTED, H_REDUCED
-from poly_helpers import multiplicity_at, sub_y_scale, taylor_shift, uni_taylor_shift, wdeg, x_plus
+from poly_helpers import (
+    bipoly_from_json,
+    constant,
+    mul_linear,
+    multiplicity_at,
+    sub_y_scale,
+    taylor_shift,
+    uni_taylor_shift,
+    wdeg,
+    x_plus,
+)
 from reference_koetter import shifted_coef
 
 FIELD_FIXTURES = ["gf8", "gf16"]
@@ -68,9 +82,9 @@ class TestUniPoly:
         a = gf8.from_exponent
         g = x_plus(gf8, a(1)).mul(x_plus(gf8, a(2)))
         assert g.formal_derivative().eval_at(a(2)) == a(4)
-        assert UniPoly.constant(gf8, a(5)).formal_derivative().is_zero
+        assert constant(gf8, a(5)).formal_derivative().is_zero
         sigma = UniPoly(gf8, [1, a(5)])
-        assert sigma.formal_derivative() == UniPoly.constant(gf8, a(5))
+        assert sigma.formal_derivative() == constant(gf8, a(5))
 
     def test_taylor_shift_univariate(self, gf8):
         rng = random.Random(3)
@@ -89,7 +103,7 @@ class TestLagrange:
         assert e.to_json() == [a(5), a(6)]
 
     def test_single_point(self, gf8):
-        assert lagrange_interpolate(gf8, [(3, 5)]) == UniPoly.constant(gf8, 5)
+        assert lagrange_interpolate(gf8, [(3, 5)]) == constant(gf8, 5)
 
     def test_two_point_message(self, gf8):
         a = gf8.from_exponent
@@ -141,7 +155,7 @@ def dense_lagrange(field, points):
     """The per-point loop that lagrange_interpolate batches, with the counts it charges."""
     master = UniPoly.one(field)
     for x, _ in points:
-        master = master.mul_linear(x)
+        master = mul_linear(master, x)
     acc = UniPoly.zero(field)
     for x, y in points:
         if y == 0:
@@ -149,6 +163,98 @@ def dense_lagrange(field, points):
         num = master.exact_div(x_plus(field, x))
         acc = acc + num.scale(field.div(y, num.eval_at(x)))
     return acc
+
+
+KERNEL_FIELDS = [Field(3, GF8_POLY), Field(4, GF16_POLY), Field(8, GF256_POLY)]
+# the default, then blocks of a few entries, so that every multi-block path runs
+BLOCKS = [polynomials.GATHER_BLOCK, 1, 3, 7]
+
+
+def linear_chain(field, xs, exps):
+    """prod (X + x_i)^(e_i) as the chain of multiplications by X + x_i from 1."""
+    p = UniPoly.one(field)
+    for x, e in zip(xs, exps):
+        for _ in range(e):
+            p = mul_linear(p, x)
+    return p
+
+
+def root_product_cases(field, rng):
+    cases = [([], []), ([5], [0]), ([0], [1]), ([0], [13]), ([3, 3], [2, 5]), ([1, 0, 2], [0, 0, 0])]
+    for _ in range(25):
+        n = rng.randint(1, 9)
+        xs = [rng.randrange(field.q) for _ in range(n)]  # 0 and repeated roots now and then
+        exps = [rng.choice([0, 1, rng.randint(0, 20)]) for _ in range(n)]
+        cases.append((xs, exps))
+    return cases
+
+
+class TestRootProduct:
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+    def test_equals_linear_chain(self, field, block, monkeypatch):
+        monkeypatch.setattr(polynomials, "GATHER_BLOCK", block)
+        rng = random.Random(field.q * 31 + block)
+        for xs, exps in root_product_cases(field, rng):
+            got_count, want_count = OpCounter(), OpCounter()
+            with field.count_into(got_count):
+                got = root_product(field, xs, exps)
+            with field.count_into(want_count):
+                want = linear_chain(field, xs, exps)
+            assert got == want, (xs, exps)
+            assert got_count == want_count, (xs, exps)
+            n = sum(exps)
+            assert got_count.multiplications == n * (n + 1) // 2 and got_count.additions == 0
+
+
+def eval_many_cases(field, rng):
+    q = field.q
+    polys = [UniPoly.zero(field), constant(field, 0), constant(field, rng.randrange(1, q)), UniPoly(field, [0, 1])]
+    polys.append(UniPoly(field, [rng.randrange(1, q), 0, 0, 0, rng.randrange(1, q)]))
+    for _ in range(10):
+        polys.append(UniPoly(field, [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(rng.randint(1, 40))]))
+    points = [np.array(field.elements), np.array([0, 0, 1], dtype=np.int32), np.zeros(0, dtype=np.int32)]
+    points.append(np.array([rng.randrange(q) for _ in range(rng.randint(1, 60))], dtype=np.int32))
+    return [(p, xs) for p in polys for xs in points]
+
+
+class TestEvalMany:
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+    def test_equals_eval_at(self, field, block, monkeypatch):
+        monkeypatch.setattr(polynomials, "GATHER_BLOCK", block)
+        rng = random.Random(field.q * 17 + block)
+        for p, xs in eval_many_cases(field, rng):
+            with field.count_into(OpCounter()) as c:
+                got = p.eval_many(xs)
+            assert got.tolist() == [p.eval_at(int(x)) for x in xs], (p, xs)
+            assert c.multiplications == max(p.coeffs.size - 1, 0) * xs.size and c.additions == 0
+
+
+class TestKernelMemory:
+    """The kernels' temporaries stay O(GATHER_BLOCK + output) over GF(2^16), where q and N are large."""
+
+    LIMIT_MB = 4
+
+    def peak_mb(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_root_product_and_eval_many_peaks(self):
+        f = Field(16, 0x1100B)
+        rng = np.random.default_rng(16)
+        xs = rng.choice(f.q, 1000, replace=False)
+        exps = rng.integers(0, 6, xs.size)
+        assert exps.sum() > 2000
+        with f.count_into(OpCounter()):
+            assert self.peak_mb(lambda: root_product(f, xs, exps)) < self.LIMIT_MB
+            p = UniPoly(f, rng.integers(0, f.q, 4001))
+            points = f.elements[1:]
+            assert self.peak_mb(lambda: p.eval_many(points)) < self.LIMIT_MB
 
 
 class TestWeightedDegree:
@@ -258,9 +364,9 @@ class TestSubstitutions:
         b = sub_y_scale(p, g)
         for x in gf8.all_elements():
             for y in gf8.all_elements():
-                lhs = b.y_eval(UniPoly.constant(gf8, y)).eval_at(x)
+                lhs = b.y_eval(constant(gf8, y)).eval_at(x)
                 yg = gf8.mul(y, g.eval_at(x))
-                rhs = p.y_eval(UniPoly.constant(gf8, yg)).eval_at(x)
+                rhs = p.y_eval(constant(gf8, yg)).eval_at(x)
                 assert lhs == rhs
 
 
@@ -283,7 +389,7 @@ class TestReconstruct:
         g = x_plus(gf8, a(1)).mul(x_plus(gf8, a(2)))
         psi = g
         # Y coefficient not divisible by g: psi*1/g^1 is not a polynomial
-        h = BiPoly(gf8, [UniPoly.zero(gf8), UniPoly.constant(gf8, a(3))])
+        h = BiPoly(gf8, [UniPoly.zero(gf8), constant(gf8, a(3))])
         bad = BiPoly(gf8, [UniPoly.zero(gf8), x_plus(gf8, a(4))])
         assert not reconstruct(h, psi, g, UniPoly.zero(gf8)).is_zero
         with pytest.raises(InexactDivision):
@@ -299,7 +405,7 @@ class TestTextForms:
     def test_json_roundtrip(self, gf8):
         rng = random.Random(9)
         p = random_bipoly(gf8, rng, 4, 3)
-        assert BiPoly.from_json(gf8, p.to_json()) == p
+        assert bipoly_from_json(gf8, p.to_json()) == p
 
     def test_zero_text(self, gf8):
         assert BiPoly.zero(gf8).to_text() == "0"

@@ -7,7 +7,6 @@ from rslist.polynomials import BiPoly, UniPoly, reconstruct
 from rslist.reencoding import (
     TooManyErasures,
     build_context,
-    check_tail_divisibility,
     prepare_reduced,
     select_reencoding_set,
     solve_reduced,
@@ -15,7 +14,7 @@ from rslist.reencoding import (
 
 import properties
 from conftest import random_planted_problem, random_repeated_x_problem
-from poly_helpers import multiplicity_at, shift_points, wdeg
+from poly_helpers import check_tail_divisibility, multiplicity_at, shift_points, wdeg
 import golden_tables as gt
 
 

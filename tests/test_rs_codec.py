@@ -6,6 +6,8 @@ import pytest
 from rslist.polynomials import UniPoly, lagrange_interpolate
 from rslist.rs_codec import CodeSpec, DegreeTooHigh, encode
 
+from poly_helpers import constant
+
 
 @pytest.fixture
 def code_gf8(gf8):
@@ -24,7 +26,7 @@ class TestEncode:
 
     def test_constant_message(self, gf8, code_gf8):
         c = gf8.from_exponent(5)
-        assert encode(code_gf8, UniPoly.constant(gf8, c)) == [c] * 4
+        assert encode(code_gf8, constant(gf8, c)) == [c] * 4
 
     def test_degree_too_high(self, gf8, code_gf8):
         with pytest.raises(DegreeTooHigh):
