@@ -91,7 +91,9 @@ def decode_reduced(
 
     `verify` turns on the expensive cross-check that reconstructs the
     original-problem solution and demotes accepted candidates whose Y - f(X)
-    does not divide it; the rule filters alone are the production behavior.
+    does not divide it. The rejection rules (a)-(d) of `factor_reduced`
+    alone can accept such a non-root f, which the direct path never lists;
+    only `verify` demotes it.
     """
     f = problem.field
     if tau is None:

@@ -391,8 +391,9 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     discrepancy is the pivot: the others gain ratio * pivot, and the pivot
     is multiplied by (X - x). Both sweep only the pivot's box, up to its
     longest row's length and its last nonzero row: the pivot is zero past
-    both, so the skipped sums and shifts would change nothing. The table
-    takes the same step, which is exact because it is linear in the
+    both, so the skipped sums and shifts would change nothing. The others
+    are updated together, in blocks of about GATHER_BLOCK entries. The
+    table takes the same step, which is exact because it is linear in the
     basis: table[others] ^= ratio * table[t], and the pivot's a-axis moves
     up by one with a = 0 cleared, since multiplying by X - x does that to
     each Hasse order at x. At a T* point the a = 0 entries are
@@ -401,6 +402,13 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     one multiplication for its ratio, the pivot's length for the scaling
     and, as additions, the overlap of the two polynomials' rows; the
     pivot's product charges its length again.
+
+    The column and the row lengths are read once into Python lists, and
+    the pivot, the charges and the new lengths are worked out from them;
+    numpy touches only the coefficient box and the table. A row of an
+    other keeps the longer of the two lengths, unless both had the same
+    one: then the sum may have cancelled, and only that row is re-read
+    to trim it.
     """
     f = basis.field
     coeffs, sizes = basis.coeffs, basis.sizes
@@ -410,45 +418,63 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     if len(point.pending) == point.mult * (point.mult + 1) // 2:
         point.charge(f, point.pending)
     table = point.table
-    deltas = table[:, a, b].copy()
-    live = np.flatnonzero(deltas)
-    if not live.size:
+    deltas = table[:, a, b].tolist()
+    key, leadings = basis.order.key, basis.leadings
+    keys = sorted((key(*leadings[j]), j) for j, d in enumerate(deltas) if d)
+    if not keys:
         return False
-    keys = sorted((basis.order.key(*basis.leadings[j]), int(j)) for j in live)
     if len(keys) > 1 and keys[0][0] == keys[1][0]:
         raise AssertionError("pivot tie: leading monomials not distinct")
     t = keys[0][1]
-    others = np.array([j for _, j in keys[1:]], dtype=np.int64)
-    pivot_size = int(sizes[t].sum())
+    others = [j for _, j in keys[1:]]
+    sl = sizes.tolist()
+    st = sl[t]
+    pivot_size, wt = sum(st), max(st)
+    lt = len(st)  # the pivot's rows from lt on are zero
+    while not st[lt - 1]:
+        lt -= 1
     ctr = f.counter
-    ctr.multiplications += others.size * (1 + pivot_size) + pivot_size
-    ctr.additions += int(np.minimum(sizes[others], sizes[t]).sum())
-    wt = int(sizes[t].max())
-    lt = len(sizes[t]) - int(np.argmax(sizes[t, ::-1] > 0))  # the pivot's rows from lt on are zero
-    logt = np.take(f.log, coeffs[t, :lt, :wt])
-    if others.size:
-        logd = np.take(f.log, table[t])
-        ratios = (f.log[deltas[others]] - f.log[deltas[t]]) % (f.q - 1)
-        for j, ratio in zip(others, ratios):
-            coeffs[j, :lt, :wt] ^= np.take(f.exp, logt + ratio)
-            table[j] ^= np.take(f.exp, logd + ratio)
-        # a row keeps the longer length unless both had the same one: then trim it
-        old = sizes[others]
-        sizes[others] = np.maximum(old, sizes[t])
-        js, ls = np.nonzero((old == sizes[t]) & (old > 0))
-        if js.size:
-            nonzero = coeffs[others[js], ls, :wt] != 0
-            sizes[others[js], ls] = np.where(nonzero.any(1), wt - nonzero[:, ::-1].argmax(1), 0)
+    ctr.multiplications += len(others) * (1 + pivot_size) + pivot_size
+    log, exp, qm = f.log, f.exp, f.q - 1
+    logt = np.take(log, coeffs[t, :lt, :wt])
+    if others:
+        overlap, trims = 0, []  # trims: the (j, l) whose equal-length sum may have cancelled
+        for j in others:
+            row = sl[j]
+            for l in range(lt):
+                s, p = row[l], st[l]
+                overlap += min(s, p)
+                if s < p:
+                    row[l] = p
+                elif s == p and s:
+                    trims.append((j, l))
+        ctr.additions += overlap
+        logd = np.take(log, table[t])
+        lmin = int(log[deltas[t]])
+        ratios = np.array([(int(log[deltas[j]]) - lmin) % qm for j in others], dtype=logt.dtype).reshape(-1, 1, 1)
+        rows = np.array(others)
+        step = max(GATHER_BLOCK // (lt * wt), 1)
+        for i in range(0, len(others), step):
+            js, rs = rows[i : i + step], ratios[i : i + step]
+            coeffs[js, :lt, :wt] ^= np.take(exp, logt + rs)
+            table[js] ^= np.take(exp, logd + rs)
+        sizes[rows] = [sl[j] for j in others]
+        if trims:
+            js, ls = zip(*trims)
+            nonzero = coeffs[js, ls, :wt] != 0
+            sizes[js, ls] = np.where(nonzero.any(1), wt - nonzero[:, ::-1].argmax(1), 0)
     if wt == coeffs.shape[2]:
         coeffs = basis.coeffs = np.concatenate((coeffs, np.zeros_like(coeffs)), axis=2)
-    coeffs[t, :lt, 1 : wt + 1] = coeffs[t, :lt, :wt]
-    coeffs[t, :lt, 0] = 0
-    coeffs[t, :lt, :wt] ^= np.take(f.exp, logt + f.log[point.x])
-    sizes[t] += sizes[t] > 0
+    box = coeffs[t, :lt]
+    shifted = np.take(exp, logt + log[point.x])  # x * pivot, to which X * pivot is added
+    shifted[:, 1:] ^= box[:, : wt - 1]
+    box[:, wt] = box[:, wt - 1]
+    box[:, :wt] = shifted
+    sizes[t] = [s + 1 if s else 0 for s in st]
     table[t, 1:] = table[t, :-1]
     table[t, 0] = 0
-    la, lb = basis.leadings[t]
-    basis.leadings[t] = (la + 1, lb)
+    la, lb = leadings[t]
+    leadings[t] = (la + 1, lb)
     return True
 
 

@@ -251,10 +251,6 @@ class BiPoly:
         return cls(field, [])
 
     @classmethod
-    def from_arrays(cls, field: Field, rows) -> "BiPoly":
-        return cls(field, [UniPoly(field, r) for r in rows])
-
-    @classmethod
     def y_power(cls, field: Field, j: int) -> "BiPoly":
         rows = [UniPoly.zero(field)] * j + [UniPoly.one(field)]
         return cls(field, rows)

@@ -4,6 +4,8 @@ from rslist.galois import GF8_POLY, GF16_POLY, Field
 from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints
 from rslist.polynomials import BiPoly, UniPoly
 
+from poly_helpers import from_arrays
+
 
 @pytest.fixture(scope="session")
 def gf8():
@@ -136,7 +138,7 @@ def random_bipoly(f, rng, max_xdeg, max_ydeg, nonzero=True):
             [rng.randrange(f.q) for _ in range(rng.randint(0, max_xdeg) + 1)]
             for _ in range(rng.randint(0, max_ydeg) + 1)
         ]
-        p = BiPoly.from_arrays(f, rows)
+        p = from_arrays(f, rows)
         if not (nonzero and p.is_zero):
             return p
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .koetter import InterpolationProblem, constraint_schedule, delta_star, n_constraints
-from .polynomials import BiPoly, MonomialOrder
+from rslist.koetter import InterpolationProblem, constraint_schedule, delta_star, n_constraints
+from rslist.polynomials import BiPoly, MonomialOrder
+
+from poly_helpers import from_arrays
 
 MAX_ORACLE_CONSTRAINTS = 200
 
@@ -122,7 +124,7 @@ def brute_force_interpolate(problem: InterpolationProblem) -> BiPoly:
     for col, (i, j) in enumerate(monos):
         if solution[col]:
             grid[j][i] = solution[col]
-    poly = BiPoly.from_arrays(f, grid)
+    poly = from_arrays(f, grid)
     lead = poly.leading_monomial(MonomialOrder.weighted(k))
     if lead[2] != 1:
         poly = poly.scale(f.inv(lead[2]))

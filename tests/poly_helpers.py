@@ -34,6 +34,11 @@ def constant(f, c: int) -> UniPoly:
     return UniPoly(f, [c])
 
 
+def from_arrays(f, rows) -> BiPoly:
+    """The bivariate polynomial whose row Y^l has the X-coefficients rows[l]."""
+    return BiPoly(f, [UniPoly(f, r) for r in rows])
+
+
 def x_plus(f, c: int) -> UniPoly:
     """X + c (equal to X - c in characteristic 2)."""
     return UniPoly(f, [c, 1])

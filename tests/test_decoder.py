@@ -1,8 +1,10 @@
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
+from rslist.cli import load_problem
 from rslist.decoder import decode_direct, decode_reduced
 from rslist.galois import Field
 from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints, solve
@@ -81,6 +83,33 @@ class TestReduced:
         plain = decode_reduced(worked_problem, tau=4)
         checked = decode_reduced(worked_problem, tau=4, verify=True)
         assert checked.accepted_set() == plain.accepted_set()
+
+
+class TestNonRootCandidate:
+    """A GF(8), k = 2 problem where the reduced path lists a message that is not a Y-root of Q.
+
+    The direct path accepts {3 + X, 6 + 4X}. At tau = 2 the reduced path's
+    rejection rules also accept 2 + 3X, whose Y - f(X) does not divide the
+    original problem's Q; `verify` demotes it, and taus 1, 3 and 4 never
+    accept it. The mend, a rule that accepts only exact Y-roots of H, adds
+    counted multiplications to the reduced factorization.
+    """
+
+    PATH = Path(__file__).parent / "data" / "nonroot_gf8_problem.json"
+    DIRECT = {(3, 1), (6, 4)}
+
+    @pytest.mark.xfail(strict=True, reason="rules (a)-(d) accept 2 + 3X at tau = 2, which is not a Y-root of Q")
+    def test_reduced_accepts_only_roots_of_q(self):
+        problem, _, tau = load_problem(str(self.PATH))
+        assert decode_direct(problem).accepted_set() == self.DIRECT
+        assert decode_reduced(problem, tau=tau).accepted_set() <= self.DIRECT
+
+    def test_verify_and_other_taus_list_only_roots(self):
+        problem, _, tau = load_problem(str(self.PATH))
+        assert tau == 2
+        assert decode_reduced(problem, tau=2, verify=True).accepted_set() == self.DIRECT
+        for other in (1, 3, 4):
+            assert decode_reduced(problem, tau=other).accepted_set() == self.DIRECT
 
 
 def assert_paths_agree(rng, fields, count, generator=random_planted_problem):

@@ -24,7 +24,7 @@ from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpo
 from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
 
 from conftest import random_unipoly
-from poly_helpers import constant, mul_linear, x_plus, y_degree
+from poly_helpers import constant, from_arrays, mul_linear, x_plus, y_degree
 import golden_tables as gt
 
 
@@ -87,7 +87,7 @@ class TestPowerSeries:
         rng = random.Random(19)
         for _ in range(200):
             rows = [[c if rng.random() < 0.4 else 0 for c in random_unipoly(gf8, rng, 4).coeffs] for _ in range(4)]
-            h = BiPoly.from_arrays(gf8, rows)
+            h = from_arrays(gf8, rows)
             if not h.is_zero:
                 bound = max(len(h.ycoeffs) - 1, 1)
                 for d in range(1, 6):

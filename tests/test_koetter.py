@@ -1,12 +1,13 @@
 import copy
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rslist import koetter
-from rslist.galois import OpCounter
+from rslist.galois import Field, OpCounter
 from rslist.koetter import (
     MIN_WIDTH,
     BasisState,
@@ -29,7 +30,7 @@ from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 import golden_tables as gt
 import reference_koetter
 from conftest import random_bipoly, random_planted_problem, random_repeated_x_problem
-from poly_helpers import mul_linear, multiplicity_at, taylor_shift, validate_basis, x_plus
+from poly_helpers import from_arrays, mul_linear, multiplicity_at, taylor_shift, validate_basis, x_plus
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
 
@@ -142,6 +143,33 @@ class TestUpdateBasis:
             want = mul_linear(want, 3)
         assert basis.state().polys == [BiPoly(gf8, [want])]
 
+    def test_update_of_many_others_peaks_at_a_few_boxes(self):
+        # the others gain ratio * pivot in blocks of about GATHER_BLOCK entries, so an update's
+        # temporaries stay a few pivot boxes (here 7 rows of about 3,000 slots, 82 KB in int32)
+        # however many others there are; all six at once would peak at about 2.1 MB
+        f = Field(16, 0x1100B)
+        rng = np.random.default_rng(5)
+        r = 6
+        polys = [
+            BiPoly(f, [UniPoly(f, rng.integers(1, f.q, rng.integers(2500, 3000))) for _ in range(r + 1)])
+            for _ in range(r + 1)
+        ]
+        basis = BasisTensor(BasisState(polys, MonomialOrder.weighted(2), [(0, j) for j in range(r + 1)]))
+        width = basis.coeffs.shape[2]
+        with f.count_into(OpCounter()):
+            point = ConstraintPoint(f, InterpolationPoint(12345, 777, 2), r)
+            point.build(f, basis.coeffs, basis.sizes)
+            for a, b in constraint_schedule(2):
+                assert np.count_nonzero(point.table[:, a, b]) >= 5  # at least 4 others
+                tracemalloc.start()
+                try:
+                    assert update_basis(basis, point, a, b)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 640 * 1024
+        assert basis.coeffs.shape[2] == width  # no capacity doubling inside the measured updates
+
 
 class TestSolve:
     def test_worked_problem_output(self, gf8, worked_problem):
@@ -181,7 +209,7 @@ class TestSolve:
 
     def test_empty_problem(self, gf8):
         res = solve(InterpolationProblem(gf8, [], 2))
-        assert res.minimal == BiPoly.from_arrays(gf8, [[1]])
+        assert res.minimal == from_arrays(gf8, [[1]])
 
     def test_duplicate_point_rejected(self, gf8):
         prob = InterpolationProblem(
@@ -349,6 +377,37 @@ class TestMatchesReferenceEngine:
             wide += rows >= 8 and any(len(p.ycoeffs) < rows for p in res.basis.polys)
             high += max(p.mult for p in prob.points) >= 5
         assert wide >= 3 and high >= 3
+
+    @pytest.mark.parametrize("block", [2, 48])
+    def test_blocked_update_of_the_others(self, gf8, gf16, monkeypatch, block):
+        # a GATHER_BLOCK of a few entries splits the others' update into several blocks; the
+        # cases must also cover an other's row that cancels to length 0 and a capacity doubling
+        monkeypatch.setattr(koetter, "GATHER_BLOCK", block)
+        seen = {"split": 0, "cancelled": 0, "doubled": 0}
+        real = koetter.update_basis
+
+        def update_basis(basis, point, a, b):
+            coeffs, sizes, leadings = basis.coeffs.copy(), basis.sizes.copy(), list(basis.leadings)
+            changed = real(basis, point, a, b)
+            if changed:
+                width = coeffs.shape[2]
+                t = next(j for j, lead in enumerate(leadings) if basis.leadings[j] != lead)
+                others = sum(j != t and (basis.coeffs[j, :, :width] != coeffs[j]).any() for j in range(len(leadings)))
+                box = (np.flatnonzero(sizes[t])[-1] + 1) * sizes[t].max()
+                seen["split"] += bool(others > max(block // box, 1))
+                seen["cancelled"] += bool(((sizes > 0) & (basis.sizes == 0)).any())
+                seen["doubled"] += basis.coeffs.shape[2] > width
+            return changed
+
+        monkeypatch.setattr(koetter, "update_basis", update_basis)
+        for prob in self.problems(86, [gf8, gf16]):
+            self.assert_same(solve, reference_koetter.solve, prob.field, prob)
+            try:
+                _, ctx, _, _ = prepare_reduced(prob)
+            except TooManyErasures:
+                continue
+            self.assert_same(solve_reduced, reference_koetter.solve_reduced, prob.field, ctx)
+        assert seen["split"] >= 50 and seen["cancelled"] >= 20 and seen["doubled"] >= 10, seen
 
     def test_direct_calls_charge_each_point(self, gf8, gf16):
         # a point's discrepancy charges wait for its last constraint, so a caller that imposes

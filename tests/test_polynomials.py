@@ -25,6 +25,7 @@ from golden_tables import Q_DIRECT, Q_SHIFTED, H_REDUCED
 from poly_helpers import (
     bipoly_from_json,
     constant,
+    from_arrays,
     mul_linear,
     multiplicity_at,
     sub_y_scale,
@@ -278,7 +279,7 @@ class TestLeadingMonomial:
         assert q31.leading_monomial(MonomialOrder.weighted(2)) == (1, 2, 1)
 
     def test_constant(self, gf8):
-        assert BiPoly.from_arrays(gf8, [[1]]).leading_monomial(MonomialOrder(1, 1)) == (0, 0, 1)
+        assert from_arrays(gf8, [[1]]).leading_monomial(MonomialOrder(1, 1)) == (0, 0, 1)
 
     def test_reduced_order_table_row(self, gf8):
         from rslist.polynomials import ORDER_REDUCED
@@ -297,7 +298,7 @@ class TestLeadingMonomial:
 class TestTaylorShift:
     def test_xy_expansion(self, gf8):
         a = gf8.from_exponent
-        p = BiPoly.from_arrays(gf8, [[0], [0, 1]])  # X*Y
+        p = from_arrays(gf8, [[0], [0, 1]])  # X*Y
         x, y = a(2), a(5)
         s = taylor_shift(p, x, y)
         # (X + x)(Y + y) = XY + yX + xY + xy
