@@ -3,15 +3,17 @@
 A rational Y-root omega(X)/sigma(X) of H is recovered as a power series by a
 depth-limited Roth-Ruckenstein recursion, compressed into the locator /
 evaluator pair by Berlekamp-Massey, checked against the rejection rules,
-and turned into a message polynomial by corrected re-encoding. A branch is
-just its list of power-series coefficients; no level holds more than
-deg_Y(H) of them, since a child's m(0, Y) has Y-degree at most its root's
-multiplicity in the parent's. The direct path's full polynomial Y-root
-extraction lives here too.
+and turned into a message polynomial by corrected re-encoding. The
+recursion keeps each branch's remainder as one array of logs, so a level
+costs two table gathers per row and a superset XOR-sum; no level holds
+more than deg_Y(H) branches, since a child's m(0, Y) has Y-degree at most
+its root's multiplicity in the parent's. The direct path's full polynomial
+Y-root extraction runs the same recursion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -69,79 +71,172 @@ def univariate_roots(p: UniPoly) -> list[int]:
     return elems[p.eval_many(elems) == 0].tolist()
 
 
-def _strip_x(m: BiPoly) -> BiPoly:
-    """Divide out the largest power of X dividing every coefficient."""
-    s = None
-    for c in m.ycoeffs:
-        if c.is_zero:
-            continue
-        first = int(np.nonzero(c.coeffs)[0][0])
-        s = first if s is None else min(s, first)
-        if s == 0:
-            return m
-    if not s:
-        return m
-    f = m.field
-    return BiPoly(f, [UniPoly(f, c.coeffs[s:]) if not c.is_zero else c for c in m.ycoeffs])
+# A Roth-Ruckenstein branch: (logs, offs, lens, prefix). Row j of the
+# remainder m has the X-coefficients exp[logs[j] + offs[j]]: logs[j] holds
+# logs (the zero sentinel Z past a row's end and at its zeros) and offs[j]
+# is a log offset below q - 1, so that no gather is spent undoing a
+# row-wide scalar. lens[j] is row j's trimmed length, and the array is as
+# wide as the longest row.
+Branch = tuple[np.ndarray, list[int], list[int], list[int]]
 
 
-def _rr_transform(m: BiPoly, gamma: int) -> BiPoly:
-    """m(X, X*Y + gamma); the new Y^i coefficient is X^i times a gamma-combination."""
-    f = m.field
-    ydeg = len(m.ycoeffs) - 1
-    gpow = f.vpowers(gamma, ydeg)
-    rows = []
-    for i in range(ydeg + 1):
-        acc = UniPoly.zero(f)
-        for j in range(i, ydeg + 1):
-            if (j & i) != i:  # C(j, i) even
-                continue
-            c = m.ycoeffs[j]
-            if c.is_zero:
-                continue
-            acc = acc + c.scale(int(gpow[j - i]))
-        rows.append(acc.shift_up(i))
-    return BiPoly(f, rows)
+def _cancelled_length(terms: np.ndarray, rows: list[int], n: int) -> int:
+    """Trimmed length of the XOR of the given rows' first n slots: where equal lengths meet."""
+    acc = np.bitwise_xor.reduce(terms[rows, :n], axis=0)
+    nonzero = np.flatnonzero(acc)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _y_restriction(m: BiPoly) -> UniPoly:
-    """m(0, Y) as a univariate polynomial in Y."""
-    return UniPoly(m.field, [c.coef(0) for c in m.ycoeffs])
+def _placed(
+    f: Field, rows: np.ndarray, lens: list[int], shifts: list[int], table: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int]]:
+    """Row i times X^shifts[i], divided by the largest X-power dividing every row, and its new lengths.
 
-
-def _rr_levels(h: BiPoly, depth: int) -> list[tuple[BiPoly, list[int]]]:
-    """Roth-Ruckenstein to `depth` levels: (remainder, coefficient prefix) per live branch.
-
-    Level by level: strip common X-powers, read the roots of m(0, Y), and
-    recurse on m(X, X*Y + gamma). Branches that run out of roots die.
-    Returns the last level in discovery order.
+    The rows are logs, or values when `table` (the log table) is given, in
+    which case each row's live slots take one gather on their way. The
+    result is as wide as its longest row.
     """
+    zero = 2 * (f.q - 1)
+    firsts = (rows[: len(lens)] != (zero if table is None else 0)).argmax(axis=1).tolist()
+    s = min(first + shift for first, shift, n in zip(firsts, shifts, lens) if n)
+    new_lens = [n + shift - s if n else 0 for n, shift in zip(lens, shifts)]
+    out = np.full((len(lens), max(new_lens)), zero, dtype=np.int32)
+    for i, (n, shift) in enumerate(zip(lens, shifts)):
+        if n:
+            lo = max(s - shift, 0)
+            if table is None:
+                out[i, lo + shift - s : new_lens[i]] = rows[i, lo:n]
+            else:
+                table.take(rows[i, lo:n], out=out[i, lo + shift - s : new_lens[i]], mode="clip")
+    return out, new_lens
+
+
+def _y_roots(f: Field, exp: list[int], logs: np.ndarray, offs: list[int]) -> list[int]:
+    """Roots of m(0, Y) in element order, charged as `univariate_roots` charges them.
+
+    Column 0 holds the logs of m(0, Y)'s coefficients. With at most two
+    terms, c_a Y^a + c_b Y^b, the roots are 0 when a > 0 and the y with
+    y^(b-a) = c_a / c_b, whose logs solve one linear congruence mod q - 1;
+    only a longer m(0, Y) is evaluated at every element. Either way n
+    coefficients cost (n - 1)q multiplications, as `eval_many` charges.
+    """
+    qm = f.q - 1
+    col = [(v + o) % qm if v != 2 * qm else None for v, o in zip(logs[:, 0].tolist(), offs)]
+    while col[-1] is None:
+        col.pop()
+    terms = [a for a, c in enumerate(col) if c is not None]
+    if len(terms) > 2:
+        return univariate_roots(UniPoly(f, [0 if c is None else exp[c] for c in col]))
+    a, b = terms[0], len(col) - 1
+    f.counter.multiplications += b * f.q
+    roots = [0] if a else []
+    if a < b:
+        e, rhs = b - a, (col[a] - col[b]) % qm
+        g = math.gcd(e, qm)
+        if rhs % g == 0:  # g solutions, one per residue class mod (q - 1)/g
+            period = qm // g
+            y = rhs // g * pow(e // g, -1, period) % period
+            roots += [exp[y + t * period] for t in range(g)]
+    return roots
+
+
+def _rr_child(f: Field, branch: Branch, gamma: int, supersets: list[list[int]]) -> Branch:
+    """The branch of m(X, X*Y + gamma), X-powers stripped.
+
+    By Lucas's theorem row i of m(X, X*Y + gamma) is X^i times the sum over
+    j with j & i = i of gamma^(j-i) m_j. With S_j = gamma^j m_j (an
+    antilog gather per row), a superset XOR-sum over the bits of j gives
+    gamma^i times that sum in row i, so a log gather per row and the offset
+    -i log gamma finish it; at gamma = 0 only j = i survives and the rows
+    stay as they are. Every gather index is in range by construction, and
+    mode "clip" spares the copy of `out` that mode "raise" makes.
+
+    Charges, from the row lengths, what building each row from
+    `UniPoly.scale` and `+` charges: d for gamma's powers, one
+    multiplication per slot of m_j for every pair (i, j), and, when
+    gamma != 0, the smaller of the running sum's and the term's lengths as
+    additions. Where two equal lengths meet the top may cancel, and only
+    there the running sum is read from its values.
+    """
+    logs, offs, lens, prefix = branch
+    d = len(lens) - 1
+    f.counter.multiplications += d + sum(n << bin(j).count("1") for j, n in enumerate(lens))
+    if gamma == 0:
+        logs, lens = _placed(f, logs, lens, list(range(d + 1)))
+        return logs, offs, lens, prefix + [gamma]
+    qm = f.q - 1
+    lg = int(f.log[gamma])
+    size = 1 << d.bit_length()
+    terms = np.zeros((size, logs.shape[1]), dtype=np.int32)
+    for j, (n, o) in enumerate(zip(lens, offs)):
+        if n:
+            f.exp[(o + j * lg) % qm :].take(logs[j, :n], out=terms[j, :n], mode="clip")
+    adds = 0
+    sums = []
+    for i in range(d + 1):
+        acc = 0
+        live = []
+        for j in supersets[i]:
+            n = lens[j]
+            if n:
+                live.append(j)
+                adds += min(acc, n)
+                acc = max(acc, n) if acc != n else _cancelled_length(terms, live, n)
+        sums.append(acc)
+    f.counter.additions += adds
+    bit = 1
+    while bit < size:
+        view = terms.reshape(size // (2 * bit), 2, bit, -1)
+        view[:, 0] ^= view[:, 1]
+        bit <<= 1
+    logs, lens = _placed(f, terms, sums, list(range(d + 1)), f.log)
+    return logs, [(-i * lg) % qm for i in range(d + 1)], lens, prefix + [gamma]
+
+
+def _root_branch(h: BiPoly) -> Branch:
+    """h with common X-powers stripped, as a branch with an empty prefix."""
+    f = h.field
+    lens = [c.coeffs.size for c in h.ycoeffs]
+    values = np.zeros((len(lens), max(lens)), dtype=np.int32)
+    for j, c in enumerate(h.ycoeffs):
+        values[j, : lens[j]] = c.coeffs
+    logs, lens = _placed(f, values, lens, [0] * len(lens), f.log)
+    return logs, [0] * len(lens), lens, []
+
+
+def _rr_levels(h: BiPoly, depth: int) -> list[Branch]:
+    """Roth-Ruckenstein to `depth` >= 1 levels: the live branches of the last one, in discovery order.
+
+    Level by level: read the roots of m(0, Y), and recurse on m(X, X*Y +
+    gamma) with common X-powers stripped. Branches that run out of roots
+    die.
+    """
+    if depth < 1:
+        raise ValueError(f"depth={depth} must be >= 1")
     if h.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    level: list[tuple[BiPoly, list[int]]] = [(_strip_x(h), [])]
+    f = h.field
+    d = len(h.ycoeffs) - 1
+    level = [_root_branch(h)]
+    exp = f.exp.tolist()
+    supersets = [[j for j in range(i, d + 1) if j & i == i] for i in range(d + 1)]
     for _ in range(depth):
-        level = [
-            (_strip_x(_rr_transform(m, gamma)), prefix + [gamma])
-            for m, prefix in level
-            for gamma in univariate_roots(_y_restriction(m))
-        ]
+        parents, level = level, []
+        while parents:  # a parent's arrays go as soon as its children are built
+            branch = parents.pop(0)
+            level += [_rr_child(f, branch, gamma, supersets) for gamma in _y_roots(f, exp, branch[0], branch[1])]
     return level
 
 
 def rr_power_series(h: BiPoly, depth: int) -> list[list[int]]:
     """First `depth` power-series coefficients of every rational Y-root of h, in discovery order."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return [prefix for _, prefix in _rr_levels(h, depth)]
+    return [prefix for *_, prefix in _rr_levels(h, depth)]
 
 
 def polynomial_y_roots(q: BiPoly, depth: int) -> list[UniPoly]:
     """All f with deg f < depth and q(X, f(X)) = 0, by full Roth-Ruckenstein."""
-    roots = []
-    for m, prefix in _rr_levels(q, depth):
-        if m.ycoef(0).is_zero:  # m(X, 0) = 0, so the prefix is a Y-root
-            roots.append(UniPoly(q.field, prefix))
-    return roots
+    # a branch whose row 0 is zero has m(X, 0) = 0, so its prefix is a Y-root
+    return [UniPoly(q.field, prefix) for _, _, lens, prefix in _rr_levels(q, depth) if not lens[0]]
 
 
 def _xor_lists(a: list[int], b: list[int]) -> list[int]:

@@ -131,14 +131,6 @@ class UniPoly:
 
     __mul__ = mul
 
-    def shift_up(self, s: int) -> "UniPoly":
-        """Multiply by X^s."""
-        if self.is_zero or s == 0:
-            return self
-        out = np.zeros(self.coeffs.size + s, dtype=np.int32)
-        out[s:] = self.coeffs
-        return UniPoly(self.field, out)
-
     def eval_at(self, x: int) -> int:
         if self.is_zero:
             return 0

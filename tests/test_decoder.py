@@ -231,6 +231,17 @@ class TestLargeProfile:
             "factorization": (362_557, 71_534),
         }
 
+    def test_direct_decode_counts(self):
+        from rslist.bench import large_profile_problem
+
+        problem, fpoly = large_profile_problem(seed=1)
+        report = decode_direct(problem)
+        assert report.accepted_set() == {tuple(fpoly.to_json())}
+        assert counts(report) == {
+            "interpolation": (70_161_699, 33_667_724),
+            "factorization": (10_995_912, 5_903_006),
+        }
+
     def test_bench_random_profile_decodes(self):
         from rslist.bench import random_problem
 
@@ -250,6 +261,14 @@ class TestEffectiveTau:
 
     def test_direct_default_is_k(self, worked_problem):
         assert decode_direct(worked_problem).tau == 2
+
+    @pytest.mark.parametrize("tau", [0, -3])
+    def test_tau_below_1_rejected(self, worked_problem, tau):
+        # the direct path's depth check sits in the Roth-Ruckenstein loop both paths share
+        with pytest.raises(ValueError):
+            decode_direct(worked_problem, tau)
+        with pytest.raises(ValueError):
+            decode_reduced(worked_problem, tau)
 
     @pytest.mark.parametrize("decode", [decode_reduced, decode_direct])
     def test_explicit_tau_reported(self, gf8, worked_problem, decode):

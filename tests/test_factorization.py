@@ -1,8 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from rslist import factorization
 from rslist.factorization import (
     ACCEPTED,
     CONVOLUTION_NONZERO_TAIL,
@@ -19,10 +22,12 @@ from rslist.factorization import (
     rr_power_series,
     univariate_roots,
 )
+from rslist.galois import GF8_POLY, GF16_POLY, GF256_POLY, Field, OpCounter
 from rslist.koetter import InterpolationPoint, InterpolationProblem
 from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpolate
 from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
 
+import reference_rr
 from conftest import random_unipoly
 from poly_helpers import constant, from_arrays, mul_linear, x_plus, y_degree
 import golden_tables as gt
@@ -92,6 +97,167 @@ class TestPowerSeries:
                 bound = max(len(h.ycoeffs) - 1, 1)
                 for d in range(1, 6):
                     assert len(_rr_levels(h, d)) <= bound
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_1_rejected(self, gf8, worked_h, depth):
+        with pytest.raises(ValueError):
+            rr_power_series(worked_h, depth)
+        with pytest.raises(ValueError):
+            polynomial_y_roots(worked_h, depth)
+
+
+def rr_remainder(f, branch):
+    """The remainder a log-domain branch of `_rr_levels` stands for, as a BiPoly."""
+    logs, offs, lens, _ = branch
+    return from_arrays(f, [f.exp[logs[j, :n] + offs[j]] for j, n in enumerate(lens)])
+
+
+def random_rr_input(rng, f):
+    """A random h for Roth-Ruckenstein, one of six shapes, sometimes times a power of X.
+
+    Products of Y + p(X) have rational roots, some with p(0) = 0 (gamma = 0)
+    and some repeated; sparse rows leave interior zero rows; rows of one
+    length make equal-length sums whose tops may cancel; Y^d has the single
+    root 0 at every level; Y^d + c has up to gcd(d, q - 1) roots; the last
+    shape has an extra quadratic factor.
+    """
+    kind = rng.randrange(6)
+    if kind in (0, 4):
+        h = BiPoly(f, [random_unipoly(f, rng, 3)])
+        if h.is_zero:
+            h = BiPoly.y_power(f, 0)
+        factors = [UniPoly(f, [rng.randrange(f.q) for _ in range(rng.randint(0, 4))]) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            factors.append(factors[0])
+        for p in factors:
+            h = h.shift_y() + h.scale_poly(p)  # times Y + p
+        if kind == 4:
+            b, c = constant(f, rng.randrange(f.q)), constant(f, rng.randrange(1, f.q))
+            h = h.shift_y().shift_y() + h.shift_y().scale_poly(b) + h.scale_poly(c)  # times Y^2 + bY + c
+    elif kind == 1:
+        rows = [
+            [rng.randrange(f.q) for _ in range(rng.randint(1, 7))] if rng.random() < 0.6 else []
+            for _ in range(rng.randint(1, 6))
+        ]
+        h = from_arrays(f, rows + [[rng.randrange(1, f.q)]])
+    elif kind == 2:
+        width = rng.randint(1, 6)
+        h = from_arrays(
+            f, [[rng.randrange(f.q) for _ in range(width - 1)] + [rng.randrange(1, f.q)] for _ in range(rng.randint(2, 7))]
+        )
+    elif kind == 3:
+        h = BiPoly.y_power(f, rng.randint(1, 5))
+    else:
+        d = rng.randint(2, 5)
+        h = from_arrays(f, [random_unipoly(f, rng, 2).to_json() or [1]] + [[]] * (d - 1) + [[1]])
+    if rng.random() < 0.3:
+        e = rng.randint(1, 3)
+        h = from_arrays(f, [[0] * e + c.to_json() for c in h.ycoeffs])  # times X^e
+    return h
+
+
+class TestMatchesReferenceRR:
+    """The log-domain loop against the per-row one in tests/reference_rr.py.
+
+    At every depth from 1 to 6 both must give the same remainders, prefixes
+    and roots, and charge the same multiplications and additions.
+    """
+
+    CASES = 75
+    DEPTHS = range(1, 7)
+
+    @staticmethod
+    def counted(f, fn, *args):
+        ctr = OpCounter()
+        with f.count_into(ctr):
+            out = fn(*args)
+        return out, ctr.snapshot()
+
+    def test_same_branches_roots_and_counts(self, monkeypatch):
+        cancelled = []
+        real_cancelled_length = factorization._cancelled_length
+
+        def spy_cancelled_length(terms, rows, n):
+            got = real_cancelled_length(terms, rows, n)
+            cancelled.append(got < n)
+            return got
+
+        shapes = set()  # (degree, nonzero terms capped at 3) of every m(0, Y) the recursion meets
+        binomial_roots = []
+        real_y_restriction = reference_rr.y_restriction
+
+        def spy_y_restriction(m):
+            p = real_y_restriction(m)
+            terms = np.count_nonzero(p.coeffs)
+            shapes.add((int(p.degree), min(terms, 3)))
+            if terms == 2:
+                with p.field.count_into(OpCounter()):
+                    binomial_roots.append(len(univariate_roots(p)))
+            return p
+
+        monkeypatch.setattr(factorization, "_cancelled_length", spy_cancelled_length)
+        monkeypatch.setattr(reference_rr, "y_restriction", spy_y_restriction)
+        rng = random.Random(14)
+        fields = [Field(2, 0b111), Field(3, GF8_POLY), Field(4, GF16_POLY)]
+        gamma_zero = interior_zero_row = x_divides = pure_y = 0
+        for i in range(self.CASES):
+            f = fields[i % 3]
+            h = random_rr_input(rng, f)
+            for depth in self.DEPTHS:
+                ref_levels, ref_ctr = self.counted(f, reference_rr.rr_levels, h, depth)
+                levels, ctr = self.counted(f, _rr_levels, h, depth)
+                assert ctr == ref_ctr
+                assert [(rr_remainder(f, b), b[3]) for b in levels] == ref_levels
+                prefixes = [prefix for _, prefix in ref_levels]
+                roots = [UniPoly(f, prefix) for m, prefix in ref_levels if m.ycoef(0).is_zero]
+                assert self.counted(f, rr_power_series, h, depth) == (prefixes, ref_ctr)
+                assert self.counted(f, polynomial_y_roots, h, depth) == (roots, ref_ctr)
+            gamma_zero += any(0 in p for p in prefixes)
+            interior_zero_row += any(c.is_zero for c in h.ycoeffs[1:-1])
+            x_divides += all(c.coef(0) == 0 for c in h.ycoeffs)
+            pure_y += len(h.ycoeffs) > 1 and all(c.is_zero for c in h.ycoeffs[:-1]) and h.ycoeffs[-1].degree == 0
+        assert gamma_zero >= 10 and interior_zero_row >= 10 and x_divides >= 10 and pure_y >= 5
+        assert sum(cancelled) >= 10  # equal lengths whose sum lost its top
+        # linear; single terms c*Y^d; binomials of higher degree (roots in closed form); longer ones
+        assert {(1, 1), (1, 2), (2, 1), (3, 2), (2, 3)} <= shapes
+        assert sum(n >= 3 for n in binomial_roots) >= 5  # Y^e = c with several solutions
+
+    def test_large_profile_instance(self):
+        # the reduced solution of instance seed 2001, whose branch lives through every level
+        from rslist.bench import large_profile_problem
+
+        problem, _ = large_profile_problem(seed=2001)
+        _, ctx, _, _ = prepare_reduced(problem)
+        h = solve_reduced(ctx).minimal
+        assert self.counted(h.field, rr_power_series, h, 12) == self.counted(
+            h.field, reference_rr.rr_power_series, h, 12
+        )
+
+
+class TestRRMemory:
+    def test_branches_stay_as_wide_as_their_rows(self):
+        # A(X) (Y + p1)(Y + p2)(Y + p3)(Y^3 + c) over GF(256): three branches
+        # live through 60 levels on rows of about 3,000 slots, and Y^3 + c
+        # adds none, as c(0) = alpha is not a cube
+        f = Field(8, GF256_POLY)
+        rng = np.random.default_rng(3)
+        h = BiPoly(f, [UniPoly(f, rng.integers(1, f.q, 3000))])
+        for root in rng.integers(0, f.q, (3, 60)):
+            h = h.shift_y() + h.scale_poly(UniPoly(f, root))
+        c = UniPoly(f, np.concatenate([[2], rng.integers(0, f.q, 20)]))
+        h = h.shift_y().shift_y().shift_y() + h.scale_poly(c)
+        box = len(h.ycoeffs) * max(c.coeffs.size for c in h.ycoeffs) * 4  # bytes of int32 rows
+        with f.count_into(OpCounter()):
+            tracemalloc.start()
+            try:
+                branches = rr_power_series(h, 60)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(branches) == 3
+            assert peak < 8 * box
+            for logs, _, lens, _ in _rr_levels(h, 60):
+                assert logs.shape[1] == max(lens)
 
 
 class TestBerlekampMassey:
