@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--path", choices=["direct", "reduced"], default="reduced")
     p_dec.add_argument("--tau", type=int, default=None, help="re-encoding error bound")
     p_dec.add_argument("--trace", action="store_true", help="emit per-iteration bases on stderr")
-    p_dec.add_argument("--verify", action="store_true", help="expensive divisibility cross-check")
+    verify_help = "demote accepted f where Y - f(X) does not divide Q (one Horner pass each)"
+    p_dec.add_argument("--verify", action="store_true", help=verify_help)
     p_dec.add_argument("--ints", action="store_true", help="print elements as integers")
     p_dec.set_defaults(func=cmd_decode)
 

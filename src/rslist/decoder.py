@@ -9,11 +9,11 @@ from .factorization import (
     REJECTED_BY_VERIFICATION,
     CandidateMessage,
     factor_reduced,
+    is_y_root,
     polynomial_y_roots,
 )
 from .galois import OpCounter
 from .koetter import InterpolationProblem, solve
-from .polynomials import reconstruct
 from .reencoding import prepare_reduced, solve_reduced
 
 
@@ -56,10 +56,12 @@ def decode_direct(
     """Reference path: Koetter solve, then full polynomial Y-root extraction.
 
     tau_full is the Roth-Ruckenstein depth bounding candidate degrees,
-    default k.
+    default k; below 1 it is rejected before any work.
     """
     f = problem.field
     depth = problem.k if tau_full is None else tau_full
+    if depth < 1:
+        raise ValueError(f"tau={depth} must be >= 1")
     interp = OpCounter()
     fact = OpCounter()
     with f.count_into(interp):
@@ -89,15 +91,19 @@ def decode_reduced(
 ) -> DecodeReport:
     """Re-encoding path: reduced interpolation, then reduced factorization.
 
-    `verify` turns on the expensive cross-check that reconstructs the
-    original-problem solution and demotes accepted candidates whose Y - f(X)
-    does not divide it. The rejection rules (a)-(d) of `factor_reduced`
-    alone can accept such a non-root f, which the direct path never lists;
-    only `verify` demotes it.
+    tau defaults to min(k, 6); below 1 it is rejected before any work.
+    The rejection rules (a)-(d) of `factor_reduced` alone can accept a
+    message f for which Y - f(X) does not divide the original problem's Q,
+    which the direct path never lists. `verify` demotes such candidates by
+    rule (e), `is_y_root` on the reduced solution and each accepted
+    candidate's sigma and omega: one Horner pass per accepted candidate,
+    charged to the factorization phase.
     """
     f = problem.field
     if tau is None:
         tau = min(problem.k, 6)
+    if tau < 1:
+        raise ValueError(f"tau={tau} must be >= 1")
     setup = OpCounter()
     interp = OpCounter()
     fact = OpCounter()
@@ -109,9 +115,8 @@ def decode_reduced(
         candidates = factor_reduced(res.minimal, ctx, rset, tau)
     if verify:
         with f.count_into(fact):
-            q = reconstruct(res.minimal, ctx.psi, ctx.g, rset.e_poly)
             for c in candidates:
-                if c.accepted and not q.y_eval(c.f).is_zero:
+                if c.accepted and not is_y_root(res.minimal, c.sigma, c.omega):
                     c.status = REJECTED_BY_VERIFICATION
     return DecodeReport(
         "reduced",

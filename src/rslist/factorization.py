@@ -346,6 +346,24 @@ def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[in
     return lagrange_interpolate(f, pts)
 
 
+def is_y_root(h: BiPoly, sigma: UniPoly, omega: UniPoly) -> bool:
+    """Rule (e): whether omega/sigma is an exact Y-root of h, by one homogeneous Horner pass.
+
+    With r = deg_Y h, sigma^r h(X, omega/sigma) = sum_j h_j omega^j sigma^(r-j)
+    accumulates from the top row down as acc <- acc*omega + h_j*sigma^(r-j),
+    counted as `UniPoly.mul` and `+` count. A candidate message f that
+    `factor_reduced` accepted has (f - e)/g = omega/sigma, and the original
+    problem's Q is psi h(X, (Y - e)/g) with psi != 0, so this holds exactly
+    when Y - f(X) divides Q.
+    """
+    acc = h.ycoeffs[-1]
+    sigma_power = UniPoly.one(h.field)
+    for c in reversed(h.ycoeffs[:-1]):
+        sigma_power = sigma_power.mul(sigma)
+        acc = acc.mul(omega) + c.mul(sigma_power)
+    return acc.is_zero
+
+
 def factor_reduced(h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int) -> list[CandidateMessage]:
     """Full pipeline per branch; rejected branches keep their status.
 

@@ -136,16 +136,6 @@ class Field:
             raise DivisionByZero("inverse of 0")
         return self.exp[self.q - 1 - self.log[a]]
 
-    def vpowers(self, x: int, n: int) -> np.ndarray:
-        """x^0 .. x^n as an array; counts n multiplications."""
-        _ACTIVE_COUNTER.get().multiplications += n
-        out = np.zeros(n + 1, dtype=np.int32)
-        out[0] = 1
-        if x != 0 and n > 0:
-            lx = int(self.log[x])
-            out[1:] = self.exp[(lx * np.arange(1, n + 1, dtype=np.int64)) % (self.q - 1)]
-        return out
-
     # -- display and serialization ------------------------------------------
 
     def format_element(self, v: int, exp_form: bool = True) -> str:

@@ -179,28 +179,6 @@ class UniPoly:
         out[1::2] = 0
         return UniPoly(self.field, out)
 
-    def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if d.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        if self.coeffs.size < d.coeffs.size:
-            return UniPoly.zero(f), self
-        rem = self.coeffs.copy()
-        dlead_inv = f.inv(int(d.coeffs[-1]))
-        dn = d.coeffs.size
-        quo = np.zeros(rem.size - dn + 1, dtype=np.int32)
-        for i in range(rem.size - dn, -1, -1):
-            c = f.mul(int(rem[i + dn - 1]), dlead_inv)
-            quo[i] = c
-            rem[i : i + dn] ^= f.vmul(d.coeffs, c)
-        return UniPoly(f, quo), UniPoly(f, rem)
-
-    def exact_div(self, d: "UniPoly") -> "UniPoly":
-        quo, rem = self.divmod(d)
-        if not rem.is_zero:
-            raise InexactDivision(f"remainder {rem.to_text()} dividing by {d.to_text()}")
-        return quo
-
     # -- display / serialization ---------------------------------------------
 
     def to_text(self) -> str:
@@ -280,15 +258,6 @@ class BiPoly:
     def scale(self, s: int) -> "BiPoly":
         return BiPoly(self.field, [c.scale(s) for c in self.ycoeffs])
 
-    def scale_poly(self, p: UniPoly) -> "BiPoly":
-        return BiPoly(self.field, [c.mul(p) for c in self.ycoeffs])
-
-    def shift_y(self) -> "BiPoly":
-        """Multiply by Y."""
-        if self.is_zero:
-            return self
-        return BiPoly(self.field, (UniPoly.zero(self.field),) + self.ycoeffs)
-
     # -- orders ----------------------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> tuple[int, int, int]:
@@ -307,24 +276,6 @@ class BiPoly:
                 best = cand
         w, j, i = best
         return (i, j, int(self.ycoeffs[j].coeffs[i]))
-
-    # -- substitutions ---------------------------------------------------------
-
-    def sub_y_shift(self, e: UniPoly) -> "BiPoly":
-        """p(X, Y + e(X)); self-inverse in characteristic 2."""
-        if self.is_zero or e.is_zero:
-            return self
-        acc = BiPoly.zero(self.field)
-        for j in range(len(self.ycoeffs) - 1, -1, -1):
-            acc = acc.shift_y() + acc.scale_poly(e) + BiPoly(self.field, [self.ycoeffs[j]])
-        return acc
-
-    def y_eval(self, fpoly: UniPoly) -> UniPoly:
-        """p(X, f(X)) by Horner in Y."""
-        acc = UniPoly.zero(self.field)
-        for j in range(len(self.ycoeffs) - 1, -1, -1):
-            acc = acc.mul(fpoly) + self.ycoeffs[j]
-        return acc
 
     # -- display / serialization -----------------------------------------------
 
@@ -452,12 +403,13 @@ def lagrange_interpolate(field: Field, points) -> UniPoly:
     vector op per coefficient over all the block's points, and the scaled
     numerators are XOR-reduced in point order into the running sum.
 
-    The counts are those of the dense per-point loop (exact_div, eval_at,
-    div, scale, then acc + term). Per point with y_i != 0: 3k
-    multiplications for the division (each of its k steps multiplies by the
-    divisor's inverted lead and updates 2 slots), k - 1 for Horner, 1 for
-    the division of y_i and k for the scaling, plus the trimmed size of the
-    running sum before the point as additions. The master is one
+    The counts are those of the dense per-point loop (long division of the
+    master by X + x_i, eval_at, div, scale, then acc + term). Per point with
+    y_i != 0: 3k multiplications for the division (each of its k steps
+    multiplies by the divisor's inverted lead and updates 2 slots), k - 1
+    for Horner, 1 for the division of y_i and k for the scaling, plus the
+    trimmed size of the running sum before the point as additions. The
+    master is one
     `root_product` call and still costs k(k+1)/2, what the chain of k
     multiplications by X + x_j from 1 charges.
     """
@@ -495,22 +447,3 @@ def lagrange_interpolate(field: Field, points) -> UniPoly:
         field.counter.additions += acc_size + int(sizes[:-1].sum())
         acc, acc_size = terms[:, -1], int(sizes[-1])
     return UniPoly(field, acc)
-
-
-def reconstruct(h: BiPoly, psi: UniPoly, g: UniPoly, e: UniPoly) -> BiPoly:
-    """psi(X) * h(X, (Y - e(X)) / g(X)) as a polynomial.
-
-    Each Y^j coefficient of psi*h_j/g^j must divide exactly; InexactDivision
-    signals that h violates the required tail-divisibility structure.
-    """
-    if h.is_zero:
-        return h
-    field = h.field
-    rows = []
-    gj = UniPoly.one(field)
-    for j, c in enumerate(h.ycoeffs):
-        if j > 0:
-            gj = gj.mul(g)
-        rows.append(psi.mul(c).exact_div(gj) if not c.is_zero else UniPoly.zero(field))
-    qprime = BiPoly(field, rows)
-    return qprime.sub_y_shift(e)

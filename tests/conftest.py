@@ -201,6 +201,33 @@ def random_repeated_x_problem(rng, fields, max_k=4, max_constraints=20):
     return InterpolationProblem(f, points, k), fpoly
 
 
+def random_unplanted_problem(rng, fields, max_k=4, max_constraints=120):
+    """A small instance with no planted message, over one of `fields`.
+
+    1 <= k <= max_k, and k + 1 to 2k + 3 x's (zero allowed) share points
+    with uniform y's: the (x, y) pairs are taken in shuffled order with
+    multiplicities 1 to 3 until the next would pass a budget of between a
+    quarter of max_constraints and max_constraints. Redrawn until there are
+    at least k distinct nonzero x's.
+    """
+    f = rng.choice(fields)
+    k = rng.randint(1, max_k)
+    xs = rng.sample(f.all_elements(), rng.randint(k + 1, min(2 * k + 3, f.q)))
+    pairs = [(x, y) for x in xs for y in range(f.q)]
+    rng.shuffle(pairs)
+    budget = rng.randint(max_constraints // 4, max_constraints)
+    points = []
+    for x, y in pairs:
+        m = rng.randint(1, 3)
+        if m * (m + 1) // 2 > budget:
+            break
+        points.append(InterpolationPoint(x, y, m))
+        budget -= m * (m + 1) // 2
+    if len({p.x for p in points if p.x}) < k:
+        return random_unplanted_problem(rng, fields, max_k, max_constraints)
+    return InterpolationProblem(f, points, k)
+
+
 def random_tight_problem(rng, f):
     """A planted instance over `f` whose score is exactly delta* + 1.
 

@@ -13,7 +13,7 @@ import numpy as np
 from rslist.koetter import InterpolationProblem, constraint_schedule, delta_star, n_constraints
 from rslist.polynomials import BiPoly, MonomialOrder
 
-from poly_helpers import from_arrays
+from poly_helpers import from_arrays, vpowers
 
 MAX_ORACLE_CONSTRAINTS = 200
 
@@ -65,8 +65,8 @@ def brute_force_interpolate(problem: InterpolationProblem) -> BiPoly:
 
     rows = []
     for pt in problem.points:
-        xpow = f.vpowers(pt.x, dstar)
-        ypow = f.vpowers(pt.y, dstar // (k - 1) if k > 1 else 0)
+        xpow = vpowers(f, pt.x, dstar)
+        ypow = vpowers(f, pt.y, dstar // (k - 1) if k > 1 else 0)
         for a, b in constraint_schedule(pt.mult):
             row = np.zeros(ncols, dtype=np.int32)
             for col, (i, j) in enumerate(monos):

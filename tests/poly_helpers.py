@@ -1,5 +1,6 @@
 """Field and polynomial helpers that only the tests use: shifts, multiplicities,
-weighted degrees and the invariant checks.
+weighted degrees, the invariant checks, and the original-problem
+reconstruction that serves as the paper-equivalence oracle.
 
 They charge the field counter as the library's own kernels do: one
 multiplication per scalar product or power and one per slot of a vector
@@ -10,7 +11,7 @@ import numpy as np
 
 from rslist.galois import DivisionByZero
 from rslist.koetter import BasisState, InterpolationPoint, InterpolationProblem
-from rslist.polynomials import NEG_INF, BiPoly, UniPoly, ZeroPolynomial
+from rslist.polynomials import NEG_INF, BiPoly, InexactDivision, UniPoly, ZeroPolynomial
 
 
 def field_add(f, a: int, b: int) -> int:
@@ -27,6 +28,17 @@ def field_pow(f, a: int, e: int) -> int:
             raise DivisionByZero("negative power of 0")
         return 1 if e == 0 else 0
     return int(f.exp[(int(f.log[a]) * e) % (f.q - 1)])
+
+
+def vpowers(f, x: int, n: int) -> np.ndarray:
+    """x^0 .. x^n as an array; counts n multiplications."""
+    f.counter.multiplications += n
+    out = np.zeros(n + 1, dtype=np.int32)
+    out[0] = 1
+    if x != 0 and n > 0:
+        lx = int(f.log[x])
+        out[1:] = f.exp[(lx * np.arange(1, n + 1, dtype=np.int64)) % (f.q - 1)]
+    return out
 
 
 def constant(f, c: int) -> UniPoly:
@@ -52,6 +64,76 @@ def mul_linear(p: UniPoly, c: int) -> UniPoly:
     out[1:] = p.coeffs
     out[:-1] ^= p.field.vmul(p.coeffs, c)
     return UniPoly(p.field, out)
+
+
+def exact_div(p: UniPoly, d: UniPoly) -> UniPoly:
+    """p / d by schoolbook long division; InexactDivision when the remainder is nonzero."""
+    if d.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = p.field
+    if p.coeffs.size < d.coeffs.size:
+        quo, rem = UniPoly.zero(f), p
+    else:
+        rem = p.coeffs.copy()
+        dlead_inv = f.inv(int(d.coeffs[-1]))
+        dn = d.coeffs.size
+        quo = np.zeros(rem.size - dn + 1, dtype=np.int32)
+        for i in range(rem.size - dn, -1, -1):
+            c = f.mul(int(rem[i + dn - 1]), dlead_inv)
+            quo[i] = c
+            rem[i : i + dn] ^= f.vmul(d.coeffs, c)
+        quo, rem = UniPoly(f, quo), UniPoly(f, rem)
+    if not rem.is_zero:
+        raise InexactDivision(f"remainder {rem.to_text()} dividing by {d.to_text()}")
+    return quo
+
+
+def shift_y(p: BiPoly) -> BiPoly:
+    """p * Y."""
+    if p.is_zero:
+        return p
+    return BiPoly(p.field, (UniPoly.zero(p.field),) + p.ycoeffs)
+
+
+def scale_poly(p: BiPoly, u: UniPoly) -> BiPoly:
+    """p * u(X), row by row."""
+    return BiPoly(p.field, [c.mul(u) for c in p.ycoeffs])
+
+
+def sub_y_shift(p: BiPoly, e: UniPoly) -> BiPoly:
+    """p(X, Y + e(X)); self-inverse in characteristic 2."""
+    if p.is_zero or e.is_zero:
+        return p
+    acc = BiPoly.zero(p.field)
+    for j in range(len(p.ycoeffs) - 1, -1, -1):
+        acc = shift_y(acc) + scale_poly(acc, e) + BiPoly(p.field, [p.ycoeffs[j]])
+    return acc
+
+
+def y_eval(p: BiPoly, fpoly: UniPoly) -> UniPoly:
+    """p(X, f(X)) by Horner in Y."""
+    acc = UniPoly.zero(p.field)
+    for j in range(len(p.ycoeffs) - 1, -1, -1):
+        acc = acc.mul(fpoly) + p.ycoeffs[j]
+    return acc
+
+
+def reconstruct(h: BiPoly, psi: UniPoly, g: UniPoly, e: UniPoly) -> BiPoly:
+    """psi(X) * h(X, (Y - e(X)) / g(X)) as a polynomial: the original problem's Q.
+
+    Each Y^j coefficient of psi*h_j/g^j must divide exactly; InexactDivision
+    signals that h violates the required tail-divisibility structure.
+    """
+    if h.is_zero:
+        return h
+    field = h.field
+    rows = []
+    gj = UniPoly.one(field)
+    for j, c in enumerate(h.ycoeffs):
+        if j > 0:
+            gj = gj.mul(g)
+        rows.append(exact_div(psi.mul(c), gj) if not c.is_zero else UniPoly.zero(field))
+    return sub_y_shift(BiPoly(field, rows), e)
 
 
 def y_degree(p: BiPoly):
@@ -85,7 +167,7 @@ def check_tail_divisibility(state: BasisState, ctx) -> None:
         for ell, c in enumerate(p.ycoeffs):
             if c.is_zero or ell >= len(ctx.tails):
                 continue
-            c.exact_div(ctx.tails[ell])
+            exact_div(c, ctx.tails[ell])
 
 
 def uni_taylor_shift(p: UniPoly, x: int) -> UniPoly:
@@ -106,7 +188,7 @@ def taylor_shift(p: BiPoly, x: int, y: int) -> BiPoly:
     acc = BiPoly.zero(p.field)
     for j in range(len(shifted) - 1, -1, -1):
         # acc*(Y + y) + c_j
-        acc = acc.shift_y() + acc.scale(y) + BiPoly(p.field, [shifted[j]])
+        acc = shift_y(acc) + acc.scale(y) + BiPoly(p.field, [shifted[j]])
     return acc
 
 

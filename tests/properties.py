@@ -1,11 +1,20 @@
 """Randomized property checks shared by the module tests and the acceptance run."""
 
 from rslist.koetter import InterpolationPoint
-from rslist.polynomials import BiPoly, UniPoly, reconstruct
+from rslist.polynomials import BiPoly, UniPoly
 from rslist.reencoding import ReencodingSet, build_context
 
 from conftest import random_bipoly, random_unipoly
-from poly_helpers import mul_linear, multiplicity_at, sub_y_scale, wdeg, x_plus
+from poly_helpers import (
+    exact_div,
+    mul_linear,
+    multiplicity_at,
+    reconstruct,
+    sub_y_scale,
+    sub_y_shift,
+    wdeg,
+    x_plus,
+)
 
 
 def check_scale_substitution_multiplicity(rng, fields, cases):
@@ -32,7 +41,7 @@ def check_shift_substitution_multiplicity(rng, fields, cases):
         e = random_unipoly(f, rng, 4)
         alpha = rng.randrange(f.q)
         beta = rng.randrange(f.q)
-        b = p.sub_y_shift(e)
+        b = sub_y_shift(p, e)
         assert multiplicity_at(p, alpha, beta) == multiplicity_at(b, alpha, beta ^ e.eval_at(alpha))
 
 
@@ -52,7 +61,7 @@ def check_zero_y_multiplicity_divisibility(rng, fields, cases):
             probe = c
             try:
                 for _ in range(need):
-                    probe = probe.exact_div(x_plus(f, alpha))
+                    probe = exact_div(probe, x_plus(f, alpha))
             except Exception:
                 divisible = False
                 break
@@ -83,7 +92,7 @@ def check_shift_involution(rng, fields, cases):
         f = rng.choice(fields)
         p = random_bipoly(f, rng, 5, 3, nonzero=False)
         e = random_unipoly(f, rng, 4)
-        assert p.sub_y_shift(e).sub_y_shift(e) == p
+        assert sub_y_shift(sub_y_shift(p, e), e) == p
 
 
 def check_wdeg_preserved_by_shift(rng, fields, cases):
@@ -93,7 +102,7 @@ def check_wdeg_preserved_by_shift(rng, fields, cases):
         p = random_bipoly(f, rng, 5, 3)
         wy = rng.randint(1, 4)
         e = random_unipoly(f, rng, wy)
-        assert wdeg(p.sub_y_shift(e), 1, wy) == wdeg(p, 1, wy)
+        assert wdeg(sub_y_shift(p, e), 1, wy) == wdeg(p, 1, wy)
 
 
 def _bipoly_mul(a: BiPoly, b: BiPoly) -> BiPoly:

@@ -22,7 +22,7 @@ from rslist.koetter import (
 )
 from rslist.polynomials import ORDER_REDUCED, BiPoly, MonomialOrder, UniPoly
 
-from poly_helpers import mul_linear
+from poly_helpers import exact_div, mul_linear, vpowers
 
 
 def shifted_coef(p: BiPoly, x: int, y: int, a: int, b: int, xpowers=None, ypowers=None) -> int:
@@ -36,10 +36,10 @@ def shifted_coef(p: BiPoly, x: int, y: int, a: int, b: int, xpowers=None, ypower
     if ydeg < b:
         return 0
     if ypowers is None:
-        ypowers = f.vpowers(y, ydeg - b)
+        ypowers = vpowers(f, y, ydeg - b)
     if xpowers is None:
         maxdeg = max((c.coeffs.size - 1 for c in p.ycoeffs if not c.is_zero), default=0)
-        xpowers = f.vpowers(x, max(maxdeg - a, 0))
+        xpowers = vpowers(f, x, max(maxdeg - a, 0))
     total = 0
     for j in range(b, ydeg + 1):
         if (j & b) != b:
@@ -125,7 +125,7 @@ def standard_discrepancy(f: Field, r: int):
 
     def at_point(pt: InterpolationPoint):
         xcache = PowerCache(f, pt.x)
-        ypow = f.vpowers(pt.y, r) if pt.y else None
+        ypow = vpowers(f, pt.y, r) if pt.y else None
 
         def at_constraint(state: BasisState, a: int, b: int):
             xpow = xcache.upto(max(_max_x_degree(state) - a, 0))
@@ -152,7 +152,7 @@ def _transformed_basis_poly(poly: BiPoly, x: int, vi: int, xp_powers: list[UniPo
         elif d >= 0:
             rows.append(c.mul(xp_powers[d]))
         else:
-            rows.append(c.exact_div(xp_powers[-d]))
+            rows.append(exact_div(c, xp_powers[-d]))
     return BiPoly(f, rows)
 
 
@@ -165,7 +165,7 @@ def transformed_discrepancy(v: dict[int, int], f: Field, r: int):
         xp_powers = [UniPoly.one(f)]
         for _ in range(max_pow):
             xp_powers.append(mul_linear(xp_powers[-1], pt.x))
-        ypow = f.vpowers(pt.y, r) if pt.y else None
+        ypow = vpowers(f, pt.y, r) if pt.y else None
 
         def at_constraint(state: BasisState, a: int, b: int):
             return lambda p: shifted_coef(

@@ -12,6 +12,8 @@ import numpy as np
 from rslist.factorization import univariate_roots
 from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial
 
+from poly_helpers import vpowers
+
 
 def strip_x(m: BiPoly) -> BiPoly:
     """Divide out the largest power of X dividing every coefficient."""
@@ -33,7 +35,7 @@ def rr_transform(m: BiPoly, gamma: int) -> BiPoly:
     """m(X, X*Y + gamma); the new Y^i coefficient is X^i times a gamma-combination."""
     f = m.field
     ydeg = len(m.ycoeffs) - 1
-    gpow = f.vpowers(gamma, ydeg)
+    gpow = vpowers(f, gamma, ydeg)
     rows = []
     for i in range(ydeg + 1):
         acc = UniPoly.zero(f)

@@ -31,14 +31,14 @@ from rslist.koetter import (
     n_constraints,
     solve,
 )
-from rslist.polynomials import MonomialOrder, UniPoly, reconstruct
+from rslist.polynomials import MonomialOrder, UniPoly
 from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 import properties
 import golden_tables as gt
 from conftest import random_planted_problem
 from oracle import brute_force_interpolate, enumerate_monomials
-from poly_helpers import multiplicity_at, wdeg
+from poly_helpers import multiplicity_at, reconstruct, wdeg
 
 DIRECT_TARGET = 159.56e6
 REDUCED_TARGET = 350e3

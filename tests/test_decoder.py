@@ -4,15 +4,22 @@ from pathlib import Path
 
 import pytest
 
+from rslist import decoder
 from rslist.cli import load_problem
 from rslist.decoder import decode_direct, decode_reduced
+from rslist.factorization import ACCEPTED, REJECTED_BY_VERIFICATION, is_y_root
 from rslist.galois import Field
 from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints, solve
 from rslist.polynomials import UniPoly
-from rslist.reencoding import TooManyErasures
+from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
-from conftest import random_planted_problem, random_repeated_x_problem, random_tight_problem
-from poly_helpers import wdeg
+from conftest import (
+    random_planted_problem,
+    random_repeated_x_problem,
+    random_tight_problem,
+    random_unplanted_problem,
+)
+from poly_helpers import reconstruct, wdeg, y_eval
 
 
 def counts(report):
@@ -85,14 +92,36 @@ class TestReduced:
         assert checked.accepted_set() == plain.accepted_set()
 
 
+def reduced_solution_and_q(problem):
+    """The reduced path's H and, as the paper-equivalence oracle, the original problem's Q rebuilt from it."""
+    rset, ctx, _, _ = prepare_reduced(problem)
+    h = solve_reduced(ctx).minimal
+    return h, reconstruct(h, ctx.psi, ctx.g, rset.e_poly)
+
+
+def verified_nonroots(report, h, q) -> int:
+    """Check a `verify` decode against the oracle; the number of candidates it demoted.
+
+    Each candidate that rules (a)-(d) accepted stays accepted exactly when
+    Y - f(X) divides Q, and rule (e) gives the same verdict.
+    """
+    demoted = 0
+    for c in report.candidates:
+        if c.status in (ACCEPTED, REJECTED_BY_VERIFICATION):
+            root = y_eval(q, c.f).is_zero
+            assert is_y_root(h, c.sigma, c.omega) == root == c.accepted
+            demoted += not root
+    return demoted
+
+
 class TestNonRootCandidate:
     """A GF(8), k = 2 problem where the reduced path lists a message that is not a Y-root of Q.
 
     The direct path accepts {3 + X, 6 + 4X}. At tau = 2 the reduced path's
     rejection rules also accept 2 + 3X, whose Y - f(X) does not divide the
-    original problem's Q; `verify` demotes it, and taus 1, 3 and 4 never
-    accept it. The mend, a rule that accepts only exact Y-roots of H, adds
-    counted multiplications to the reduced factorization.
+    original problem's Q; `verify` demotes it by rule (e), and taus 1, 3 and
+    4 never accept it. Running rule (e) on every decode would mend this, but
+    adds counted multiplications to the reduced factorization.
     """
 
     PATH = Path(__file__).parent / "data" / "nonroot_gf8_problem.json"
@@ -107,7 +136,9 @@ class TestNonRootCandidate:
     def test_verify_and_other_taus_list_only_roots(self):
         problem, _, tau = load_problem(str(self.PATH))
         assert tau == 2
-        assert decode_reduced(problem, tau=2, verify=True).accepted_set() == self.DIRECT
+        report = decode_reduced(problem, tau=2, verify=True)
+        assert report.accepted_set() == self.DIRECT
+        assert verified_nonroots(report, *reduced_solution_and_q(problem)) == 1  # 2 + 3X
         for other in (1, 3, 4):
             assert decode_reduced(problem, tau=other).accepted_set() == self.DIRECT
 
@@ -137,6 +168,22 @@ class TestCrossPath:
     def test_gf1024_instances(self):
         # m > 4 end to end
         assert_paths_agree(random.Random(36), [Field(10, 0x409)], 60)
+
+    def test_unplanted_instances_with_verify(self, gf8, gf16):
+        # at tau < k a verified reduced decode may miss a root that the direct
+        # path lists, but never lists one that it does not
+        rng = random.Random(41)
+        demoted = 0
+        for _ in range(40):
+            problem = random_unplanted_problem(rng, [gf8, gf16])
+            direct = decode_direct(problem).accepted_set()
+            h, q = reduced_solution_and_q(problem)
+            for tau in range(1, problem.k + 1):
+                report = decode_reduced(problem, tau, verify=True)
+                demoted += verified_nonroots(report, h, q)
+                assert report.accepted_set() <= direct
+            assert report.accepted_set() == direct  # tau = k
+        assert demoted > 0  # the check would pass vacuously without non-roots
 
     def test_counter_ordering(self, gf8, gf16):
         # reduced interpolation does strictly less multiplication work whenever
@@ -231,6 +278,15 @@ class TestLargeProfile:
             "factorization": (362_557, 71_534),
         }
 
+    def test_verify_costs_one_horner_pass(self):
+        from rslist.bench import large_profile_problem
+
+        problem, fpoly = large_profile_problem(seed=1)
+        report = decode_reduced(problem, tau=6, verify=True)
+        assert report.accepted_set() == {tuple(fpoly.to_json())}
+        # the plain decode's 362,557 plus rule (e) on the one accepted candidate
+        assert counts(report)["factorization"] == (364_050, 71_697)
+
     def test_direct_decode_counts(self):
         from rslist.bench import large_profile_problem
 
@@ -263,8 +319,14 @@ class TestEffectiveTau:
         assert decode_direct(worked_problem).tau == 2
 
     @pytest.mark.parametrize("tau", [0, -3])
-    def test_tau_below_1_rejected(self, worked_problem, tau):
-        # the direct path's depth check sits in the Roth-Ruckenstein loop both paths share
+    def test_tau_below_1_rejected(self, worked_problem, tau, monkeypatch):
+        # both paths check tau before any work; the checks in the
+        # Roth-Ruckenstein loop and in factor_reduced stay behind them
+        def no_work(*args, **kwargs):
+            raise AssertionError("tau < 1 reached the solver")
+
+        monkeypatch.setattr(decoder, "solve", no_work)
+        monkeypatch.setattr(decoder, "prepare_reduced", no_work)
         with pytest.raises(ValueError):
             decode_direct(worked_problem, tau)
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from rslist.galois import (
     OpCounter,
 )
 
-from poly_helpers import field_add, field_pow
+from poly_helpers import field_add, field_pow, vpowers
 
 
 def carryless_mul_mod(a: int, b: int, prim_poly: int) -> int:
@@ -225,8 +225,10 @@ class TestCounting:
 
     def test_vpowers(self, gf8):
         a = gf8.from_exponent
-        p = gf8.vpowers(a(1), 7)
+        with gf8.count_into(OpCounter()) as ctr:
+            p = vpowers(gf8, a(1), 7)
         assert [int(v) for v in p] == [1] + [a(i) for i in range(1, 7)] + [1]
+        assert ctr.multiplications == 7
 
 
 class TestDisplay:

@@ -30,7 +30,7 @@ from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 import golden_tables as gt
 import reference_koetter
 from conftest import random_bipoly, random_planted_problem, random_repeated_x_problem
-from poly_helpers import from_arrays, mul_linear, multiplicity_at, taylor_shift, validate_basis, x_plus
+from poly_helpers import from_arrays, mul_linear, multiplicity_at, taylor_shift, validate_basis, x_plus, y_eval
 
 LARGE_PROFILE_MULTS = [7] * 229 + [6] * 12 + [5] * 10 + [4] * 4 + [3] * 3 + [2] * 10 + [1] * 10
 
@@ -271,7 +271,7 @@ class TestSolve:
             lead,
         ]
         assert BiPoly(gf8, prod_rows) == res.minimal
-        assert res.minimal.y_eval(f1).is_zero and res.minimal.y_eval(f2).is_zero
+        assert y_eval(res.minimal, f1).is_zero and y_eval(res.minimal, f2).is_zero
 
     def test_complexity_scaling(self, gf16):
         # multiplication count grows no worse than ~quadratically in N
