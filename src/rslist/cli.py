@@ -77,7 +77,8 @@ def cmd_decode(args) -> int:
         return EXIT_VALIDATION
     tau = args.tau if args.tau is not None else file_tau
     if tau is not None and not 1 <= tau <= code.n:
-        # tau sets the Roth-Ruckenstein depth: a bound on tau is a bound on the work
+        # problem input, checked on both paths; on the reduced path it sets the
+        # Roth-Ruckenstein depth 2 tau, so a bound on tau is a bound on the work
         print(f"error: tau={tau} outside [1, n={code.n}]", file=sys.stderr)
         return EXIT_VALIDATION
     n_cons = n_constraints(p.mult for p in problem.points)
@@ -86,7 +87,7 @@ def cmd_decode(args) -> int:
         return EXIT_VALIDATION
     try:
         if args.path == "direct":
-            report = decode_direct(problem, tau, collect_trace=args.trace)
+            report = decode_direct(problem, collect_trace=args.trace)
         else:
             report = decode_reduced(problem, tau, verify=args.verify, collect_trace=args.trace)
     except TooManyErasures as exc:
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decode", help="list-decode an interpolation problem file")
     p_dec.add_argument("problem", help="JSON problem file")
     p_dec.add_argument("--path", choices=["direct", "reduced"], default="reduced")
-    p_dec.add_argument("--tau", type=int, default=None, help="re-encoding error bound")
+    p_dec.add_argument("--tau", type=int, default=None, help="reduced path: re-encoding error bound")
     p_dec.add_argument("--trace", action="store_true", help="emit per-iteration bases on stderr")
     verify_help = "demote accepted f where Y - f(X) does not divide Q (one Horner pass each)"
     p_dec.add_argument("--verify", action="store_true", help=verify_help)

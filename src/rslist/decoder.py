@@ -25,7 +25,7 @@ class DecodeReport:
     n_constraints: int
     delta_star: int
     r: int
-    tau: int  # the effective tau: reduced path, the error bound; direct path, the RR depth
+    tau: int | None = dataclass_field(default=None)  # the reduced path's effective error bound
     reduced_constraints: int | None = dataclass_field(default=None)
     trace: list | None = dataclass_field(default=None)
 
@@ -50,35 +50,22 @@ class DecodeReport:
         }
 
 
-def decode_direct(
-    problem: InterpolationProblem, tau_full: int | None = None, collect_trace: bool = False
-) -> DecodeReport:
-    """Reference path: Koetter solve, then full polynomial Y-root extraction.
-
-    tau_full is the Roth-Ruckenstein depth bounding candidate degrees,
-    default k; below 1 it is rejected before any work.
-    """
+def decode_direct(problem: InterpolationProblem, collect_trace: bool = False) -> DecodeReport:
+    """Reference path: Koetter solve, then every Y-root of degree < k, by Roth-Ruckenstein to depth k."""
     f = problem.field
-    depth = problem.k if tau_full is None else tau_full
-    if depth < 1:
-        raise ValueError(f"tau={depth} must be >= 1")
     interp = OpCounter()
     fact = OpCounter()
     with f.count_into(interp):
         res = solve(problem, collect_trace=collect_trace)
     with f.count_into(fact):
-        roots = polynomial_y_roots(res.minimal, depth)
-    candidates = [
-        CandidateMessage(root, ACCEPTED) for root in roots if root.degree < problem.k
-    ]
+        roots = polynomial_y_roots(res.minimal, problem.k)
     return DecodeReport(
         "direct",
-        candidates,
+        [CandidateMessage(root, ACCEPTED) for root in roots],
         {"interpolation": interp.snapshot(), "factorization": fact.snapshot()},
         res.n_constraints,
         res.delta_star,
         res.r,
-        depth,
         trace=res.trace,
     )
 

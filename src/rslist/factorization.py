@@ -51,7 +51,7 @@ class CandidateMessage:
         return self.status == ACCEPTED
 
     def to_json(self, f: Field, exp_form: bool = True) -> dict:
-        fmt = lambda v: f.format_element(v, exp_form)  # noqa: E731
+        fmt = f.format_element if exp_form else int
         return {
             "f": [fmt(c) for c in self.f.to_json()] if self.f is not None else None,
             "status": self.status,
@@ -367,15 +367,16 @@ def is_y_root(h: BiPoly, sigma: UniPoly, omega: UniPoly) -> bool:
 def factor_reduced(h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int) -> list[CandidateMessage]:
     """Full pipeline per branch; rejected branches keep their status.
 
-    Accepted candidates with equal f are merged, keeping every branch index.
-    tau beyond k is allowed (2k syndromes always suffice, extras are just
-    more convolution checks); tau < 1 is rejected.
+    Each candidate names its one branch. No two accepted candidates share
+    an f: distinct branches have distinct 2 tau-prefixes, and an accepted
+    prefix is fixed by its error positions and values. tau beyond k is
+    allowed (2k syndromes always suffice, extras are just more convolution
+    checks); tau < 1 is rejected.
     """
     if tau < 1:
         raise ValueError(f"tau={tau} must be >= 1")
     f = h.field
     out: list[CandidateMessage] = []
-    by_f: dict[bytes, CandidateMessage] = {}
     for idx, gammas in enumerate(rr_power_series(h, 2 * tau)):
         pair, status = berlekamp_massey(f, gammas)
         if pair is None:
@@ -392,11 +393,5 @@ def factor_reduced(h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int
             )
             continue
         msg = corrected_message(rset, locations, errors)
-        key = msg.coeffs.tobytes()
-        if key in by_f:
-            by_f[key].branch_indices.append(idx)
-            continue
-        cand = CandidateMessage(msg, ACCEPTED, pair.sigma, pair.omega, locations, errors, [idx])
-        by_f[key] = cand
-        out.append(cand)
+        out.append(CandidateMessage(msg, ACCEPTED, pair.sigma, pair.omega, locations, errors, [idx]))
     return out

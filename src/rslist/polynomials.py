@@ -255,9 +255,6 @@ class BiPoly:
 
     __sub__ = __add__
 
-    def scale(self, s: int) -> "BiPoly":
-        return BiPoly(self.field, [c.scale(s) for c in self.ycoeffs])
-
     # -- orders ----------------------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> tuple[int, int, int]:

@@ -13,7 +13,7 @@ import numpy as np
 from rslist.koetter import InterpolationProblem, constraint_schedule, delta_star, n_constraints
 from rslist.polynomials import BiPoly, MonomialOrder
 
-from poly_helpers import from_arrays, vpowers
+from poly_helpers import bi_scale, from_arrays, vpowers
 
 MAX_ORACLE_CONSTRAINTS = 200
 
@@ -127,5 +127,5 @@ def brute_force_interpolate(problem: InterpolationProblem) -> BiPoly:
     poly = from_arrays(f, grid)
     lead = poly.leading_monomial(MonomialOrder.weighted(k))
     if lead[2] != 1:
-        poly = poly.scale(f.inv(lead[2]))
+        poly = bi_scale(poly, f.inv(lead[2]))
     return poly

@@ -180,6 +180,11 @@ def uni_taylor_shift(p: UniPoly, x: int) -> UniPoly:
     return acc
 
 
+def bi_scale(p: BiPoly, s: int) -> BiPoly:
+    """s * p, one `UniPoly.scale` per Y-row."""
+    return BiPoly(p.field, [c.scale(s) for c in p.ycoeffs])
+
+
 def taylor_shift(p: BiPoly, x: int, y: int) -> BiPoly:
     """p(X + x, Y + y); entry (i, j) is the mixed Hasse-derivative value."""
     shifted = [uni_taylor_shift(c, x) for c in p.ycoeffs]
@@ -188,7 +193,7 @@ def taylor_shift(p: BiPoly, x: int, y: int) -> BiPoly:
     acc = BiPoly.zero(p.field)
     for j in range(len(shifted) - 1, -1, -1):
         # acc*(Y + y) + c_j
-        acc = shift_y(acc) + acc.scale(y) + BiPoly(p.field, [shifted[j]])
+        acc = shift_y(acc) + bi_scale(acc, y) + BiPoly(p.field, [shifted[j]])
     return acc
 
 

@@ -22,7 +22,7 @@ from rslist.koetter import (
 )
 from rslist.polynomials import ORDER_REDUCED, BiPoly, MonomialOrder, UniPoly
 
-from poly_helpers import exact_div, mul_linear, vpowers
+from poly_helpers import bi_scale, exact_div, mul_linear, vpowers
 
 
 def shifted_coef(p: BiPoly, x: int, y: int, a: int, b: int, xpowers=None, ypowers=None) -> int:
@@ -83,7 +83,7 @@ def update_basis(state: BasisState, x: int, discrepancy_fn) -> BasisState:
         if j == t:
             continue
         ratio = f.mul(deltas[j], inv_dt)
-        new_polys[j] = polys[j] + polys[t].scale(ratio)
+        new_polys[j] = polys[j] + bi_scale(polys[t], ratio)
     new_polys[t] = BiPoly(f, [mul_linear(u, x) for u in polys[t].ycoeffs])
     la, lb = state.leadings[t]
     new_leadings[t] = (la + 1, lb)

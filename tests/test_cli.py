@@ -52,15 +52,32 @@ class TestDecode:
         assert report["stats"]["n_constraints"] == 9
         assert report["stats"]["reduced_constraints"] == 5
 
-    def test_direct_path_same_accepted_set(self):
-        red = json.loads(run_cli("decode", str(DATA / "worked_gf8_problem.json")).stdout)
-        dired = json.loads(
-            run_cli("decode", str(DATA / "worked_gf8_problem.json"), "--path", "direct").stdout
-        )
-        fset = lambda rep: {
-            tuple(c["f"]) for c in rep["candidates"] if c["status"] == "accepted"
-        }
-        assert fset(red) == fset(dired)
+    def test_direct_path_same_accepted_set(self, tmp_path):
+        # tau bounds the reduced path's re-encoding errors only; the direct path
+        # always decodes to depth k, so a file's tau = 1 does not reach it
+        obj = json.loads((DATA / "worked_gf8_problem.json").read_text())
+        obj["tau"] = 1
+        tau1 = tmp_path / "tau1.json"
+        tau1.write_text(json.dumps(obj))
+        for problem, tau in ((DATA / "worked_gf8_problem.json", 4), (tau1, 1)):
+            for path in ("reduced", "direct"):
+                res = run_cli("decode", str(problem), "--path", path)
+                assert res.returncode == 0, res.stderr
+                report = json.loads(res.stdout)
+                accepted = sorted(tuple(c["f"]) for c in report["candidates"] if c["status"] == "accepted")
+                assert accepted == [("a^5", "a^6"), ("a^6", "a^2")], (problem.name, path)
+                assert report["stats"]["tau"] == (None if path == "direct" else tau)
+
+    def test_integer_output(self):
+        # every field element of the report is a JSON int, not a string such as "2"
+        res = run_cli("decode", str(DATA / "nonroot_gf8_problem.json"), "--verify", "--ints")
+        assert res.returncode == 0, res.stderr
+        cands = json.loads(res.stdout)["candidates"]
+        accepted = sorted(c["f"] for c in cands if c["status"] == "accepted")
+        assert accepted == [[3, 1], [6, 4]]
+        elements = [v for c in cands for key in ("f", "sigma", "omega") for v in c[key] or []]
+        elements += [v for c in cands for v in c["error_values"].values()]
+        assert elements and all(type(v) is int for v in elements)
 
     def test_all_points_one_x_exits_3(self):
         res = run_cli("decode", str(DATA / "one_x_problem.json"))
@@ -76,7 +93,7 @@ class TestDecode:
 
     @pytest.mark.parametrize("path", ["reduced", "direct"])
     def test_tau_outside_1_to_n_exits_2(self, path):
-        # the worked problem has n = 4; tau sets the Roth-Ruckenstein depth, so it is bounded
+        # the worked problem has n = 4; tau is problem input, so both paths bound it
         problem = str(DATA / "worked_gf8_problem.json")
         for tau in ("0", "-3", "5", str(10**6)):
             res = run_cli("decode", problem, "--path", path, "--tau", tau, timeout=30)

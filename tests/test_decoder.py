@@ -7,7 +7,7 @@ import pytest
 from rslist import decoder
 from rslist.cli import load_problem
 from rslist.decoder import decode_direct, decode_reduced
-from rslist.factorization import ACCEPTED, REJECTED_BY_VERIFICATION, is_y_root
+from rslist.factorization import ACCEPTED, REJECTED_BY_VERIFICATION, is_y_root, polynomial_y_roots
 from rslist.galois import Field
 from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints, solve
 from rslist.polynomials import UniPoly
@@ -182,6 +182,10 @@ class TestCrossPath:
                 report = decode_reduced(problem, tau, verify=True)
                 demoted += verified_nonroots(report, h, q)
                 assert report.accepted_set() <= direct
+                # each candidate is one branch, and no two that rules (a)-(d) accept share an f
+                assert all(len(c.branch_indices) == 1 for c in report.candidates)
+                fs = [tuple(c.f.to_json()) for c in report.candidates if c.f is not None]
+                assert len(set(fs)) == len(fs)
             assert report.accepted_set() == direct  # tau = k
         assert demoted > 0  # the check would pass vacuously without non-roots
 
@@ -315,26 +319,33 @@ class TestEffectiveTau:
         problem, _ = random_problem(15, 7, seed=3)
         assert decode_reduced(problem).tau == 6
 
-    def test_direct_default_is_k(self, worked_problem):
-        assert decode_direct(worked_problem).tau == 2
+    def test_direct_default_is_k(self, gf8, worked_problem, monkeypatch):
+        # the direct path takes no tau: it always runs Roth-Ruckenstein to depth k
+        depths = []
+
+        def recording(q, depth):
+            depths.append(depth)
+            return polynomial_y_roots(q, depth)
+
+        monkeypatch.setattr(decoder, "polynomial_y_roots", recording)
+        report = decode_direct(worked_problem)
+        assert depths == [2]  # k = 2
+        assert report.tau is None
+        assert report.to_json(gf8)["stats"]["tau"] is None
 
     @pytest.mark.parametrize("tau", [0, -3])
     def test_tau_below_1_rejected(self, worked_problem, tau, monkeypatch):
-        # both paths check tau before any work; the checks in the
-        # Roth-Ruckenstein loop and in factor_reduced stay behind them
+        # the reduced path checks tau before any work; the checks in the
+        # Roth-Ruckenstein loop and in factor_reduced stay behind it
         def no_work(*args, **kwargs):
-            raise AssertionError("tau < 1 reached the solver")
+            raise AssertionError("tau < 1 reached the re-encoding setup")
 
-        monkeypatch.setattr(decoder, "solve", no_work)
         monkeypatch.setattr(decoder, "prepare_reduced", no_work)
-        with pytest.raises(ValueError):
-            decode_direct(worked_problem, tau)
         with pytest.raises(ValueError):
             decode_reduced(worked_problem, tau)
 
-    @pytest.mark.parametrize("decode", [decode_reduced, decode_direct])
-    def test_explicit_tau_reported(self, gf8, worked_problem, decode):
-        report = decode(worked_problem, 3)
+    def test_explicit_tau_reported(self, gf8, worked_problem):
+        report = decode_reduced(worked_problem, 3)
         assert report.tau == 3
         assert report.to_json(gf8)["stats"]["tau"] == 3
 
@@ -344,11 +355,13 @@ REPORT_STATS_KEYS = {"n_constraints", "delta_star", "r", "tau", "reduced_constra
 
 
 def test_report_json_shape(gf8, worked_problem):
-    for path, decode, reduced_constraints in (("reduced", decode_reduced, 5), ("direct", decode_direct, None)):
-        obj = decode(worked_problem, 4).to_json(gf8)
-        assert obj["path"] == path
+    reports = [(decode_reduced(worked_problem, 4), 4, 5), (decode_direct(worked_problem), None, None)]
+    for report, tau, reduced_constraints in reports:
+        obj = report.to_json(gf8)
+        assert obj["path"] == report.path
         assert set(obj["stats"]) == REPORT_STATS_KEYS
         assert obj["stats"]["n_constraints"] == 9
+        assert obj["stats"]["tau"] == tau
         assert obj["stats"]["reduced_constraints"] == reduced_constraints
         statuses = {c["status"] for c in obj["candidates"]}
         assert "accepted" in statuses

@@ -102,6 +102,9 @@ class TestArithmetic:
         assert gf8.inv(a(1)) == a(6)
         with pytest.raises(DivisionByZero):
             gf8.inv(0)
+        assert gf8.vinv(np.array([1, a(1)])).tolist() == [1, a(6)]
+        with pytest.raises(DivisionByZero):
+            gf8.vinv(np.array([a(1), 0, 1]))
 
     def test_pow(self, gf8):
         a = gf8.from_exponent

@@ -117,6 +117,8 @@ class TestLagrange:
     def test_duplicate_abscissa(self, gf8):
         with pytest.raises(DuplicateAbscissa):
             lagrange_interpolate(gf8, [(1, 2), (1, 3)])
+        with pytest.raises(ValueError, match="at least one point"):
+            lagrange_interpolate(gf8, [])
 
     def test_batched_equals_dense_loop(self):
         rng = random.Random(55)
