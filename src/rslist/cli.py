@@ -89,7 +89,8 @@ def cmd_decode(args) -> int:
         if args.path == "direct":
             report = decode_direct(problem, collect_trace=args.trace)
         else:
-            report = decode_reduced(problem, tau, verify=args.verify, collect_trace=args.trace)
+            # rules (a)-(d) alone can accept an f that is no Y-root of Q; rule (e) demotes it
+            report = decode_reduced(problem, tau, verify=True, collect_trace=args.trace)
     except TooManyErasures as exc:
         print(f"undecodable: {exc}", file=sys.stderr)
         return EXIT_UNDECODABLE
@@ -205,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--path", choices=["direct", "reduced"], default="reduced")
     p_dec.add_argument("--tau", type=int, default=None, help="reduced path: re-encoding error bound")
     p_dec.add_argument("--trace", action="store_true", help="emit per-iteration bases on stderr")
-    verify_help = "demote accepted f where Y - f(X) does not divide Q (one Horner pass each)"
-    p_dec.add_argument("--verify", action="store_true", help=verify_help)
     p_dec.add_argument("--ints", action="store_true", help="print elements as integers")
     p_dec.set_defaults(func=cmd_decode)
 

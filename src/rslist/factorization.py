@@ -73,10 +73,10 @@ def univariate_roots(p: UniPoly) -> list[int]:
 
 # A Roth-Ruckenstein branch: (logs, offs, lens, prefix). Row j of the
 # remainder m has the X-coefficients exp[logs[j] + offs[j]]: logs[j] holds
-# logs (the zero sentinel Z past a row's end and at its zeros) and offs[j]
-# is a log offset below q - 1, so that no gather is spent undoing a
-# row-wide scalar. lens[j] is row j's trimmed length, and the array is as
-# wide as the longest row.
+# logs (the sentinel `Field.zero_log` past a row's end and at its zeros)
+# and offs[j] is a log offset below q - 1, so that no gather is spent
+# undoing a row-wide scalar. lens[j] is row j's trimmed length, and the
+# array is as wide as the longest row.
 Branch = tuple[np.ndarray, list[int], list[int], list[int]]
 
 
@@ -96,7 +96,7 @@ def _placed(
     which case each row's live slots take one gather on their way. The
     result is as wide as its longest row.
     """
-    zero = 2 * (f.q - 1)
+    zero = f.zero_log
     firsts = (rows[: len(lens)] != (zero if table is None else 0)).argmax(axis=1).tolist()
     s = min(first + shift for first, shift, n in zip(firsts, shifts, lens) if n)
     new_lens = [n + shift - s if n else 0 for n, shift in zip(lens, shifts)]
@@ -121,7 +121,7 @@ def _y_roots(f: Field, exp: list[int], logs: np.ndarray, offs: list[int]) -> lis
     coefficients cost (n - 1)q multiplications, as `eval_many` charges.
     """
     qm = f.q - 1
-    col = [(v + o) % qm if v != 2 * qm else None for v, o in zip(logs[:, 0].tolist(), offs)]
+    col = [(v + o) % qm if v != f.zero_log else None for v, o in zip(logs[:, 0].tolist(), offs)]
     while col[-1] is None:
         col.pop()
     terms = [a for a, c in enumerate(col) if c is not None]

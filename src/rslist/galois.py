@@ -46,12 +46,13 @@ class Field:
     Elements are ints in [0, 2^m); bit i of the value is the coefficient of
     alpha^i in the polynomial basis. Multiplication goes through log/antilog
     tables laid out so that zero needs no branch: `log[a]` is the discrete
-    log of a != 0 and `log[0]` is the sentinel Z = 2(q-1); `exp` has
-    4(q-1)+1 entries, alpha^i at i and at i + (q-1) for i < q-1, and 0 from
-    index Z on. A product is `exp[log[a] + log[b]]`, and any sum that
-    involves a zero operand lands in the zero tail. `elements` lists the
-    field in the order 0, 1, alpha, ..., alpha^(q-2). `vmul(a, b)` takes an
-    array `a` and either an array of the same shape or one element `b`.
+    log of a != 0 and `log[0]` is the sentinel `zero_log` = 2(q-1); `exp`
+    has 4(q-1)+1 entries, alpha^i at i and at i + (q-1) for i < q-1, and 0
+    from index `zero_log` on. A product is `exp[log[a] + log[b]]`, and any
+    sum that involves a zero operand lands in the zero tail. `elements`
+    lists the field in the order 0, 1, alpha, ..., alpha^(q-2). `vmul(a, b)`
+    takes an array `a` and either an array of the same shape or one element
+    `b`.
 
     Counting convention: every scalar product counts one multiplication
     (including products by 0 or 1), and vector kernels count one
@@ -59,9 +60,11 @@ class Field:
     lookups are free; div counts one multiplication. A kernel that batches
     such a loop charges what the loop would: `polynomials.root_product`
     charges N(N+1)/2 multiplications and no additions for N linear factors,
-    as the chain of N multiplications by X + x_i from 1 does, and
+    as the chain of N multiplications by X + x_i from 1 does,
     `UniPoly.eval_many` charges n - 1 per point for n coefficients, as
-    Horner's rule does.
+    Horner's rule does, and `UniPoly.mul` charges the product of its
+    factors' lengths, as scaling one factor per coefficient of the other
+    does.
 
     A Field holds only these tables and its parameters, all immutable after
     construction, so threads and asyncio tasks may share one. Counts go to
@@ -82,7 +85,7 @@ class Field:
         self.q = 1 << m
 
         q = self.q
-        zero_log = 2 * (q - 1)
+        self.zero_log = zero_log = 2 * (q - 1)
         exp = np.zeros(2 * zero_log + 1, dtype=np.int32)
         log = np.full(q, zero_log, dtype=np.int32)
         v = 1

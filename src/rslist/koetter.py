@@ -28,8 +28,9 @@ ratio * D[t], and the pivot's a-axis moves up by one with a = 0 cleared,
 since multiplying by X - x does that to the Hasse derivatives at x. At a
 T* point the cleared entries are exact because the derivatives of the
 orders below l - v stay zero on every row l > v, which the table's build
-checks once per point. BiPolys are built only for trace rows and for the
-returned state.
+checks once per point. The solve result keeps the tensor as its basis,
+and BiPolys are built from it only when a trace row, the minimal
+polynomial or a reader of `BasisTensor.polys` asks for them.
 
 Counts are charged analytically from the row lengths, and they are exactly
 what the dense per-polynomial loop would charge under the convention in
@@ -127,31 +128,6 @@ def delta_star(n_cons: int, k: int) -> tuple[int, int]:
     return lo, lo // (k - 1)
 
 
-class BasisState:
-    """r+1 basis polynomials whose leading monomials have Y-degrees 0..r.
-
-    Leading monomials are tracked incrementally: an update never changes a
-    polynomial's leading term except the pivot step, which raises its
-    X-degree by one.
-    """
-
-    __slots__ = ("polys", "order", "leadings")
-
-    def __init__(self, polys: list[BiPoly], order: MonomialOrder, leadings=None) -> None:
-        self.polys = list(polys)
-        self.order = order
-        if leadings is None:
-            leadings = [p.leading_monomial(order)[:2] for p in self.polys]
-        self.leadings = list(leadings)
-
-    def ascending(self) -> list[int]:
-        """Basis indices sorted ascending by leading monomial."""
-        return sorted(range(len(self.polys)), key=lambda j: self.order.key(*self.leadings[j]))
-
-    def minimal(self) -> BiPoly:
-        return self.polys[self.ascending()[0]]
-
-
 @dataclass
 class TraceRow:
     x: int
@@ -165,15 +141,11 @@ class TraceRow:
 @dataclass
 class SolveResult:
     minimal: BiPoly
-    basis: BasisState
+    basis: BasisTensor
     n_constraints: int
     delta_star: int
     r: int
     trace: list[TraceRow] | None = dataclass_field(default=None)
-
-
-def _snapshot(state: BasisState) -> list[tuple[int, BiPoly]]:
-    return [(j, state.polys[j]) for j in state.ascending()]
 
 
 def format_trace_row(f: Field, row: "TraceRow") -> str:
@@ -194,36 +166,44 @@ MIN_WIDTH = 8  # initial capacity of the basis tensor's X axis
 
 
 class BasisTensor:
-    """The basis inside the constraint loop: coeffs[j, l, i] is the X^i Y^l coefficient of G_j.
+    """Koetter's basis of r+1 polynomials: coeffs[j, l, i] is the X^i Y^l coefficient of G_j.
 
     sizes[j, l] is the trimmed length of that row, 0 for a zero row, and the
     slots from it on are zero. The last axis is a capacity that is doubled
-    whenever the pivot's shift by X would overflow it.
+    whenever the pivot's shift by X would overflow it. leadings[j] is the
+    (X-degree, Y-degree) of G_j's leading monomial under `order`, given by
+    the caller and kept by `update_basis`: an update changes no leading
+    monomial but the pivot's, whose X-degree it raises by one.
     """
 
     __slots__ = ("field", "order", "coeffs", "sizes", "leadings")
 
-    def __init__(self, state: BasisState) -> None:
-        n = len(state.polys)
-        self.field = state.polys[0].field
-        self.order = state.order
-        self.leadings = list(state.leadings)
-        self.sizes = np.array([[p.ycoef(l).coeffs.size for l in range(n)] for p in state.polys], dtype=np.int64)
+    def __init__(self, polys: list[BiPoly], order: MonomialOrder, leadings) -> None:
+        n = len(polys)
+        self.field = polys[0].field
+        self.order = order
+        self.leadings = list(leadings)
+        self.sizes = np.array([[p.ycoef(l).coeffs.size for l in range(n)] for p in polys], dtype=np.int64)
         width = MIN_WIDTH
         while width <= self.sizes.max():
             width *= 2
         self.coeffs = np.zeros((n, n, width), dtype=np.int32)
-        for j, p in enumerate(state.polys):
+        for j, p in enumerate(polys):
             for l, c in enumerate(p.ycoeffs):
                 self.coeffs[j, l, : c.coeffs.size] = c.coeffs
 
-    def state(self) -> BasisState:
+    @property
+    def polys(self) -> list[BiPoly]:
+        """The basis as BiPolys, built from the tensor on each read."""
         f = self.field
-        polys = [
+        return [
             BiPoly(f, [UniPoly(f, self.coeffs[j, l, :s].copy()) for l, s in enumerate(row)])
             for j, row in enumerate(self.sizes)
         ]
-        return BasisState(polys, self.order, self.leadings)
+
+    def ascending(self) -> list[int]:
+        """Basis indices sorted ascending by leading monomial."""
+        return sorted(range(len(self.leadings)), key=lambda j: self.order.key(*self.leadings[j]))
 
 
 class ConstraintPoint:
@@ -478,41 +458,38 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     return True
 
 
-def run_constraints(
-    state: BasisState, points, trace: list[TraceRow] | None, v: dict[int, int] | None = None
-) -> BasisState:
-    """Impose every constraint of `points` on the basis, in schedule order.
+def run_constraints(basis: BasisTensor, points, trace: list[TraceRow] | None, v: dict[int, int] | None = None) -> None:
+    """Impose every constraint of `points` on the basis in place, in schedule order.
 
     A point whose x is a key of `v` is a T* point with multiplicity v[x]
-    (see ConstraintPoint); the others are standard. The loop runs on a
-    BasisTensor; BiPolys are built for the returned state and, unless
-    `trace` is None, for the one TraceRow appended per constraint.
+    (see ConstraintPoint); the others are standard. Unless `trace` is None,
+    one TraceRow is appended per constraint.
     """
-    basis = BasisTensor(state)
-    r = len(state.polys) - 1
+    r = len(basis.leadings) - 1
     for pt in points:
         point = ConstraintPoint(basis.field, pt, r, v.get(pt.x) if v else None)
         for a, b in constraint_schedule(pt.mult):
             update_basis(basis, point, a, b)
             if trace is not None:
-                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, _snapshot(basis.state())))
-    return basis.state()
+                polys = basis.polys
+                trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, [(j, polys[j]) for j in basis.ascending()]))
 
 
 def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveResult:
     """Run Koetter's algorithm on the given problem.
 
     Points are processed in the given order with the (a, b) schedule of
-    `constraint_schedule`. Returns the order-least basis polynomial, which
-    satisfies every constraint and has minimal (1, k-1)-weighted degree.
-    Outputs are not normalized.
+    `constraint_schedule`, from the basis G_j = Y^j with leading monomials
+    (0, j). Returns the order-least basis polynomial, which satisfies every
+    constraint and has minimal (1, k-1)-weighted degree. Outputs are not
+    normalized.
     """
     problem.validate()
     f = problem.field
     n_cons = n_constraints(p.mult for p in problem.points)
     dstar, r = delta_star(n_cons, problem.k)
     order = MonomialOrder.weighted(problem.k)
-    state = BasisState([BiPoly.y_power(f, j) for j in range(r + 1)], order)
+    basis = BasisTensor([BiPoly.y_power(f, j) for j in range(r + 1)], order, [(0, j) for j in range(r + 1)])
     trace: list[TraceRow] | None = [] if collect_trace else None
-    state = run_constraints(state, problem.points, trace)
-    return SolveResult(state.minimal(), state, n_cons, dstar, r, trace)
+    run_constraints(basis, problem.points, trace)
+    return SolveResult(basis.polys[basis.ascending()[0]], basis, n_cons, dstar, r, trace)

@@ -118,27 +118,18 @@ class UniPoly:
         return UniPoly(self.field, self.field.vmul(self.coeffs, s))
 
     def mul(self, other: "UniPoly") -> "UniPoly":
+        """The product, as one `dense_products` row; charges the two lengths' product, as the dense loop does."""
         if self.is_zero or other.is_zero:
             return UniPoly.zero(self.field)
-        a, b = self.coeffs, other.coeffs
-        if a.size < b.size:
-            a, b = b, a
-        out = np.zeros(a.size + b.size - 1, dtype=np.int32)
-        f = self.field
-        for i in range(b.size):
-            out[i : i + a.size] ^= f.vmul(a, int(b[i]))
-        return UniPoly(f, out)
+        f, a, b = self.field, self.coeffs, other.coeffs
+        f.counter.multiplications += a.size * b.size
+        return UniPoly(f, dense_products(f, a[None], b[None])[0])
 
     __mul__ = mul
 
     def eval_at(self, x: int) -> int:
-        if self.is_zero:
-            return 0
-        f = self.field
-        acc = int(self.coeffs[-1])
-        for i in range(self.coeffs.size - 2, -1, -1):
-            acc = f.mul(acc, x) ^ int(self.coeffs[i])
-        return acc
+        """The value at x: `eval_many` at one point."""
+        return int(self.eval_many(x))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Values at a vector of points, as one gather per block of points.

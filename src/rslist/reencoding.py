@@ -17,7 +17,7 @@ import numpy as np
 
 from .galois import Field
 from .koetter import (
-    BasisState,
+    BasisTensor,
     InterpolationPoint,
     InterpolationProblem,
     SolveResult,
@@ -117,21 +117,17 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
 def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:
     """Koetter engine on the reduced problem.
 
-    Initialization G_j = t_j(X) Y^j, order (1, -1), standard discrepancies on
-    S* points and the transformed discrepancy on T* points. Returns the
-    (1, -1)-least basis polynomial.
+    Initialization G_j = t_j(X) Y^j with leading monomials (deg t_j, j),
+    order (1, -1), standard discrepancies on S* points and the transformed
+    discrepancy on T* points. Returns the (1, -1)-least basis polynomial.
     """
     f = ctx.field
     r = ctx.r
-    polys = []
-    for j in range(r + 1):
-        rows = [UniPoly.zero(f)] * j + [ctx.tails[j]]
-        polys.append(BiPoly(f, rows))
-    state = BasisState(polys, ORDER_REDUCED)
+    polys = [BiPoly(f, [UniPoly.zero(f)] * j + [ctx.tails[j]]) for j in range(r + 1)]
+    basis = BasisTensor(polys, ORDER_REDUCED, [(int(ctx.tails[j].degree), j) for j in range(r + 1)])
     trace: list[TraceRow] | None = [] if collect_trace else None
-    state = run_constraints(state, ctx.s_star + ctx.t_star, trace, ctx.v)
-    n_red = ctx.reduced_constraints()
-    return SolveResult(state.minimal(), state, n_red, -1, r, trace)
+    run_constraints(basis, ctx.s_star + ctx.t_star, trace, ctx.v)
+    return SolveResult(basis.polys[basis.ascending()[0]], basis, ctx.reduced_constraints(), -1, r, trace)
 
 
 def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, ReducedContext, int, int]:

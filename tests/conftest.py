@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rslist.galois import GF8_POLY, GF16_POLY, Field
@@ -226,6 +228,31 @@ def random_unplanted_problem(rng, fields, max_k=4, max_constraints=120):
     if len({p.x for p in points if p.x}) < k:
         return random_unplanted_problem(rng, fields, max_k, max_constraints)
     return InterpolationProblem(f, points, k)
+
+
+GF64_POLY = 0b1000011  # X^6 + X + 1
+
+
+def gs_radius_problem(seed, m, k=15):
+    """A hard-decision RS(63, k) word over GF(64) at the Guruswami-Sudan radius: (problem, message, t).
+
+    Every nonzero x carries one point of multiplicity m. The codeword of a
+    random message gets t errors at random positions, where t is the largest
+    count for which the message's score m(n - t) still exceeds delta*, so
+    the message must be on every list.
+    """
+    rng = random.Random(seed)
+    f = Field(6, GF64_POLY)
+    xs = f.elements[1:]
+    n = xs.size
+    dstar = delta_star(n_constraints([m] * n), k)[0]
+    t = n - dstar // m - 1
+    fpoly = UniPoly(f, [rng.randrange(f.q) for _ in range(k)])
+    ys = fpoly.eval_many(xs)
+    for i in rng.sample(range(n), t):
+        ys[i] ^= rng.randrange(1, f.q)
+    points = [InterpolationPoint(int(x), int(y), m) for x, y in zip(xs, ys)]
+    return InterpolationProblem(f, points, k), fpoly, t
 
 
 def random_tight_problem(rng, f):

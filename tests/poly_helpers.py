@@ -10,7 +10,7 @@ product, one addition per scalar sum.
 import numpy as np
 
 from rslist.galois import DivisionByZero
-from rslist.koetter import BasisState, InterpolationPoint, InterpolationProblem
+from rslist.koetter import InterpolationPoint, InterpolationProblem
 from rslist.polynomials import NEG_INF, BiPoly, InexactDivision, UniPoly, ZeroPolynomial
 
 
@@ -54,6 +54,30 @@ def from_arrays(f, rows) -> BiPoly:
 def x_plus(f, c: int) -> UniPoly:
     """X + c (equal to X - c in characteristic 2)."""
     return UniPoly(f, [c, 1])
+
+
+def horner(p: UniPoly, x: int) -> int:
+    """p(x) by Horner's rule, one counted multiplication per step: what `UniPoly.eval_many` charges per point."""
+    if p.is_zero:
+        return 0
+    f = p.field
+    acc = int(p.coeffs[-1])
+    for c in p.coeffs[-2::-1]:
+        acc = f.mul(acc, x) ^ int(c)
+    return acc
+
+
+def dense_mul(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p * q as one scaling of the longer factor per coefficient of the shorter: what `UniPoly.mul` charges."""
+    if p.is_zero or q.is_zero:
+        return UniPoly.zero(p.field)
+    a, b = p.coeffs, q.coeffs
+    if a.size < b.size:
+        a, b = b, a
+    out = np.zeros(a.size + b.size - 1, dtype=np.int32)
+    for i in range(b.size):
+        out[i : i + a.size] ^= p.field.vmul(a, int(b[i]))
+    return UniPoly(p.field, out)
 
 
 def mul_linear(p: UniPoly, c: int) -> UniPoly:
@@ -146,8 +170,12 @@ def bipoly_from_json(f, obj) -> BiPoly:
     return BiPoly(f, [UniPoly(f, [f.parse_element(c) for c in row]) for row in obj])
 
 
-def validate_basis(state: BasisState) -> None:
-    """Assert that the kept leading monomials are current, have Y-degree j at index j and are distinct."""
+def validate_basis(state) -> None:
+    """Assert that the kept leading monomials are current, have Y-degree j at index j and are distinct.
+
+    `state` is a `koetter.BasisTensor` or the reference engine's state: anything with `polys`,
+    `order` and `leadings`.
+    """
     keys = set()
     for j, p in enumerate(state.polys):
         lead = p.leading_monomial(state.order)[:2]
@@ -161,7 +189,7 @@ def validate_basis(state: BasisState) -> None:
         keys.add(key)
 
 
-def check_tail_divisibility(state: BasisState, ctx) -> None:
+def check_tail_divisibility(state, ctx) -> None:
     """Assert every basis polynomial's Y^l coefficient is divisible by the context's t_l."""
     for p in state.polys:
         for ell, c in enumerate(p.ycoeffs):

@@ -11,7 +11,6 @@ import numpy as np
 
 from rslist.galois import Field
 from rslist.koetter import (
-    BasisState,
     InterpolationPoint,
     InterpolationProblem,
     SolveResult,
@@ -23,6 +22,31 @@ from rslist.koetter import (
 from rslist.polynomials import ORDER_REDUCED, BiPoly, MonomialOrder, UniPoly
 
 from poly_helpers import bi_scale, exact_div, mul_linear, vpowers
+
+
+class BasisState:
+    """r+1 basis polynomials whose leading monomials have Y-degrees 0..r.
+
+    Leading monomials are tracked incrementally: an update never changes a
+    polynomial's leading term except the pivot step, which raises its
+    X-degree by one.
+    """
+
+    __slots__ = ("polys", "order", "leadings")
+
+    def __init__(self, polys: list[BiPoly], order: MonomialOrder, leadings=None) -> None:
+        self.polys = list(polys)
+        self.order = order
+        if leadings is None:
+            leadings = [p.leading_monomial(order)[:2] for p in self.polys]
+        self.leadings = list(leadings)
+
+    def ascending(self) -> list[int]:
+        """Basis indices sorted ascending by leading monomial."""
+        return sorted(range(len(self.polys)), key=lambda j: self.order.key(*self.leadings[j]))
+
+    def minimal(self) -> BiPoly:
+        return self.polys[self.ascending()[0]]
 
 
 def shifted_coef(p: BiPoly, x: int, y: int, a: int, b: int, xpowers=None, ypowers=None) -> int:

@@ -70,7 +70,7 @@ class TestDecode:
 
     def test_integer_output(self):
         # every field element of the report is a JSON int, not a string such as "2"
-        res = run_cli("decode", str(DATA / "nonroot_gf8_problem.json"), "--verify", "--ints")
+        res = run_cli("decode", str(DATA / "nonroot_gf8_problem.json"), "--ints")
         assert res.returncode == 0, res.stderr
         cands = json.loads(res.stdout)["candidates"]
         accepted = sorted(c["f"] for c in cands if c["status"] == "accepted")
@@ -78,6 +78,14 @@ class TestDecode:
         elements = [v for c in cands for key in ("f", "sigma", "omega") for v in c[key] or []]
         elements += [v for c in cands for v in c["error_values"].values()]
         assert elements and all(type(v) is int for v in elements)
+
+    def test_non_root_rejected_by_default(self):
+        # at the file's tau = 2 rules (a)-(d) accept f = 2 + 3X, which is no Y-root of Q;
+        # the CLI always applies rule (e), so the report lists it as rejected
+        res = run_cli("decode", str(DATA / "nonroot_gf8_problem.json"), "--ints")
+        assert res.returncode == 0, res.stderr
+        status = {tuple(c["f"]): c["status"] for c in json.loads(res.stdout)["candidates"] if c["f"]}
+        assert status[(2, 3)] == "rejected_by_verification"
 
     def test_all_points_one_x_exits_3(self):
         res = run_cli("decode", str(DATA / "one_x_problem.json"))

@@ -14,6 +14,7 @@ from rslist.polynomials import UniPoly
 from rslist.reencoding import TooManyErasures, prepare_reduced, solve_reduced
 
 from conftest import (
+    gs_radius_problem,
     random_planted_problem,
     random_repeated_x_problem,
     random_tight_problem,
@@ -240,6 +241,18 @@ class TestCrossPath:
             assert len(direct.accepted()) <= r and len(reduced.accepted()) <= r
             assert tuple(fpoly.to_json()) in direct.accepted_set()
             assert tuple(fpoly.to_json()) in reduced.accepted_set()
+
+    @pytest.mark.parametrize("m, radius", [(2, 30), (3, 30), (4, 31)])
+    def test_planted_message_recovered_at_gs_radius(self, m, radius):
+        # hard-decision RS(63, 15) words with more errors than (n - k)/2 = 24; at tau = k
+        # a verified reduced decode lists only roots of Q, so only what the direct path lists
+        for seed in range(4):
+            prob, fpoly, t = gs_radius_problem(seed, m)
+            assert t == radius
+            direct = decode_direct(prob).accepted_set()
+            reduced = decode_reduced(prob, tau=prob.k, verify=True).accepted_set()
+            assert tuple(fpoly.to_json()) in direct and tuple(fpoly.to_json()) in reduced
+            assert reduced <= direct
 
 
 def test_concurrent_decodes_on_a_shared_field_keep_exact_counts(gf8, worked_problem, shifted_problem):

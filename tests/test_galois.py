@@ -60,6 +60,7 @@ class TestConstruction:
         assert f.mul(a(40000), a(30000)) == a(70000 % 65535)
         assert f.inv(a(7)) == a(65535 - 7)
         # log[0] is the sentinel 2(q-1); 0 * 0 reads the last entry of the table
+        assert f.log[0] == f.zero_log == 2 * 65535 and f.exp.size == 2 * f.zero_log + 1
         top = a(65534)
         for x in (0, 1, a(7), top):
             assert f.mul(0, x) == f.mul(x, 0) == 0

@@ -10,7 +10,6 @@ from rslist import koetter
 from rslist.galois import Field, OpCounter
 from rslist.koetter import (
     MIN_WIDTH,
-    BasisState,
     BasisTensor,
     ConstraintPoint,
     DuplicatePoint,
@@ -85,7 +84,7 @@ class TestFormulas:
 class TestUpdateBasis:
     def make_initial(self, gf8, r=3, k=2):
         order = MonomialOrder.weighted(k)
-        return BasisTensor(BasisState([BiPoly.y_power(gf8, j) for j in range(r + 1)], order))
+        return BasisTensor([BiPoly.y_power(gf8, j) for j in range(r + 1)], order, [(0, j) for j in range(r + 1)])
 
     def at(self, basis, x, y, mult=1):
         return ConstraintPoint(basis.field, InterpolationPoint(x, y, mult), len(basis.sizes) - 1)
@@ -94,7 +93,7 @@ class TestUpdateBasis:
         a = gf8.from_exponent
         basis = self.make_initial(gf8)
         assert update_basis(basis, self.at(basis, a(1), a(4), 2), 0, 0)
-        got = {j: p.to_text() for j, p in enumerate(basis.state().polys)}
+        got = {j: p.to_text() for j, p in enumerate(basis.polys)}
         want = dict(gt.TABLE_DIRECT[0][3])
         assert got == want
 
@@ -112,7 +111,7 @@ class TestUpdateBasis:
         point = self.at(basis, a(1), 0, 2)
         update_basis(basis, point, 0, 0)
         update_basis(basis, point, 0, 1)
-        polys = basis.state().polys
+        polys = basis.polys
         assert polys[1].to_text() == "(a + X)*Y"
         assert polys[0].to_text() == "(a + X)"
         assert polys[2] == BiPoly.y_power(gf8, 2)
@@ -130,7 +129,7 @@ class TestUpdateBasis:
             grew = [j for j in range(4) if after[j] == (before[j][0] + 1, before[j][1])]
             same = [j for j in range(4) if after[j] == before[j]]
             assert len(grew) == 1 and len(same) == 3
-            validate_basis(basis.state())
+            validate_basis(basis)
 
     def test_capacity_doubles_past_min_width(self, gf8):
         basis = self.make_initial(gf8, r=0)
@@ -141,7 +140,7 @@ class TestUpdateBasis:
         want = UniPoly.one(gf8)
         for _ in range(MIN_WIDTH + 1):
             want = mul_linear(want, 3)
-        assert basis.state().polys == [BiPoly(gf8, [want])]
+        assert basis.polys == [BiPoly(gf8, [want])]
 
     def test_update_of_many_others_peaks_at_a_few_boxes(self):
         # the others gain ratio * pivot in blocks of about GATHER_BLOCK entries, so an update's
@@ -154,7 +153,7 @@ class TestUpdateBasis:
             BiPoly(f, [UniPoly(f, rng.integers(1, f.q, rng.integers(2500, 3000))) for _ in range(r + 1)])
             for _ in range(r + 1)
         ]
-        basis = BasisTensor(BasisState(polys, MonomialOrder.weighted(2), [(0, j) for j in range(r + 1)]))
+        basis = BasisTensor(polys, MonomialOrder.weighted(2), [(0, j) for j in range(r + 1)])
         width = basis.coeffs.shape[2]
         with f.count_into(OpCounter()):
             point = ConstraintPoint(f, InterpolationPoint(12345, 777, 2), r)
@@ -418,10 +417,10 @@ class TestMatchesReferenceEngine:
             except TooManyErasures:
                 return
             polys = [BiPoly(prob.field, [UniPoly.zero(prob.field)] * j + [ctx.tails[j]]) for j in range(ctx.r + 1)]
-            yield BasisState(polys, ORDER_REDUCED), ctx.s_star + ctx.t_star, ctx.v
+            yield reference_koetter.BasisState(polys, ORDER_REDUCED), ctx.s_star + ctx.t_star, ctx.v
             r = delta_star(n_constraints(p.mult for p in prob.points), prob.k)[1]
-            state = BasisState([BiPoly.y_power(prob.field, j) for j in range(r + 1)], MonomialOrder.weighted(prob.k))
-            yield state, prob.points, {}
+            polys = [BiPoly.y_power(prob.field, j) for j in range(r + 1)]
+            yield reference_koetter.BasisState(polys, MonomialOrder.weighted(prob.k)), prob.points, {}
 
         checked = t_star = 0
         for prob in self.problems(84, [gf8, gf16]):
@@ -430,7 +429,7 @@ class TestMatchesReferenceEngine:
                 r = len(state.polys) - 1
                 for pt in points:
                     ours, theirs = OpCounter(), OpCounter()
-                    basis = BasisTensor(state)
+                    basis = BasisTensor(state.polys, state.order, state.leadings)
                     with f.count_into(ours):
                         point = ConstraintPoint(f, pt, r, v.get(pt.x))
                         for a, b in constraint_schedule(pt.mult):
@@ -442,7 +441,7 @@ class TestMatchesReferenceEngine:
                     with f.count_into(theirs):
                         state = reference_koetter.run_constraints(state, [pt], disc, None)
                     assert ours.snapshot() == theirs.snapshot()
-                    assert basis.state().polys == state.polys
+                    assert basis.polys == state.polys
                     checked += 1
                     t_star += pt.x in v
         assert checked >= 500 and t_star >= 50
@@ -517,12 +516,11 @@ class TestHasseTable:
         # entry [j, a, b] is the X^a Y^b coefficient of G_j(X + x, Y + y)
         for prob in self.problems(93, [gf8, gf16]):
             f = prob.field
-            state = solve(prob).basis
-            basis = BasisTensor(state)
+            basis = solve(prob).basis
             for pt in prob.points[:3]:
-                point = ConstraintPoint(f, pt, len(state.polys) - 1)
+                point = ConstraintPoint(f, pt, len(basis.leadings) - 1)
                 point.build(f, basis.coeffs, basis.sizes)
-                shifted = [taylor_shift(p, pt.x, pt.y) for p in state.polys]
+                shifted = [taylor_shift(p, pt.x, pt.y) for p in basis.polys]
                 want = [[[p.ycoef(b).coef(a) for b in range(pt.mult)] for a in range(pt.mult)] for p in shifted]
                 np.testing.assert_array_equal(point.table, want)
 
@@ -534,7 +532,8 @@ class TestHasseTable:
         for case in range(48):
             r = rng.randint(1, 4)
             polys = [random_bipoly(gf16, rng, rng.choice([3, 6, 11, 20]), r) for _ in range(r + 1)]
-            basis = BasisTensor(BasisState(polys, MonomialOrder.weighted(2)))
+            order = MonomialOrder.weighted(2)
+            basis = BasisTensor(polys, order, [p.leading_monomial(order)[:2] for p in polys])
             x = 0 if case % 4 == 0 else rng.randrange(1, gf16.q)
             y = 0 if case % 4 == 1 else rng.randrange(gf16.q)
             pt = InterpolationPoint(x, y, rng.randint(5, 9))

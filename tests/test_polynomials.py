@@ -24,8 +24,10 @@ from golden_tables import Q_DIRECT, Q_SHIFTED, H_REDUCED
 from poly_helpers import (
     bipoly_from_json,
     constant,
+    dense_mul,
     exact_div,
     from_arrays,
+    horner,
     mul_linear,
     multiplicity_at,
     reconstruct,
@@ -167,7 +169,7 @@ def dense_lagrange(field, points):
         if y == 0:
             continue
         num = exact_div(master, x_plus(field, x))
-        acc = acc + num.scale(field.div(y, num.eval_at(x)))
+        acc = acc + num.scale(field.div(y, horner(num, x)))
     return acc
 
 
@@ -228,13 +230,40 @@ class TestEvalMany:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
     def test_equals_eval_at(self, field, block, monkeypatch):
+        # eval_at is eval_many at one point; both must give Horner's values and counts
         monkeypatch.setattr(polynomials, "GATHER_BLOCK", block)
         rng = random.Random(field.q * 17 + block)
         for p, xs in eval_many_cases(field, rng):
-            with field.count_into(OpCounter()) as c:
+            got_count, want_count = OpCounter(), OpCounter()
+            with field.count_into(got_count):
                 got = p.eval_many(xs)
-            assert got.tolist() == [p.eval_at(int(x)) for x in xs], (p, xs)
-            assert c.multiplications == max(p.coeffs.size - 1, 0) * xs.size and c.additions == 0
+            with field.count_into(want_count):
+                want = [horner(p, int(x)) for x in xs]
+            assert got.tolist() == want, (p, xs)
+            assert got_count == want_count and got_count.multiplications == max(p.coeffs.size - 1, 0) * xs.size
+            with field.count_into(OpCounter()) as c:
+                assert [p.eval_at(int(x)) for x in xs] == want
+            assert c == want_count
+
+
+class TestMul:
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+    def test_equals_dense_loop(self, field, block, monkeypatch):
+        # one dense_products row, charged what scaling the longer factor per coefficient of the shorter charges
+        monkeypatch.setattr(polynomials, "GATHER_BLOCK", block)
+        rng = random.Random(field.q * 19 + block)
+        polys = [UniPoly.zero(field), constant(field, rng.randrange(1, field.q)), UniPoly(field, [0, 0, 1])]
+        polys += [random_unipoly(field, rng, rng.choice([3, 30])) for _ in range(8)]
+        for p in polys:
+            for q in polys:
+                got_count, want_count = OpCounter(), OpCounter()
+                with field.count_into(got_count):
+                    got = p.mul(q)
+                with field.count_into(want_count):
+                    want = dense_mul(p, q)
+                assert got == want, (p, q)
+                assert got_count == want_count and got_count.additions == 0, (p, q)
 
 
 class TestKernelMemory:

@@ -14,7 +14,15 @@ from rslist.reencoding import (
 
 import properties
 from conftest import random_planted_problem, random_repeated_x_problem
-from poly_helpers import check_tail_divisibility, multiplicity_at, reconstruct, shift_points, sub_y_shift, wdeg
+from poly_helpers import (
+    check_tail_divisibility,
+    multiplicity_at,
+    reconstruct,
+    shift_points,
+    sub_y_shift,
+    validate_basis,
+    wdeg,
+)
 import golden_tables as gt
 
 
@@ -137,15 +145,18 @@ class TestSolveReduced:
         assert res.n_constraints == 0
 
     def test_tail_divisibility_invariant(self, gf8, gf16):
+        # the leading monomials that solve_reduced states, (deg t_j, j), must also stay current
         rng = random.Random(55)
         for _ in range(15):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             _, ctx, _, _ = prepare_reduced(prob)
             check_tail_divisibility(solve_reduced(ctx).basis, ctx)
+            validate_basis(solve_reduced(ctx).basis)
         for _ in range(40):
             prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
             _, ctx, _, _ = prepare_reduced(prob)
             check_tail_divisibility(solve_reduced(ctx).basis, ctx)
+            validate_basis(solve_reduced(ctx).basis)
 
     def test_reduced_constraint_count(self, gf8, worked_problem):
         rset, ctx, n_orig, _ = prepare_reduced(worked_problem)
