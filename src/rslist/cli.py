@@ -129,7 +129,7 @@ def cmd_bench(args) -> int:
             seconds = time.perf_counter() - t0
             _print_bench_report(report, seconds)
             interp_mults.append(report.counters["interpolation"]["multiplications"])
-    print(f"interpolation ratio reduced/direct: {interp_mults[1] / interp_mults[0]:.6f}")
+    print(f"interpolation ratio reduced/direct: {sum(interp_mults[1::2]) / sum(interp_mults[0::2]):.6f}")
     return EXIT_OK
 
 

@@ -134,32 +134,26 @@ class UniPoly:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Values at a vector of points, as one gather per block of points.
 
-        p(x) is the XOR over i of c_i x^i = exp[log c_i + w], w = i log x mod
-        (q - 1), where a zero c_i's log is the sentinel that lands in exp's
-        zero tail; at x = 0 it is c_0. As q - 1 = 2^m - 1, two folds of w's
-        high bits onto its low ones reduce it to [0, q - 1], where exp is
-        periodic. The points go in blocks of about GATHER_BLOCK terms.
-        Charges (n - 1) len(xs) multiplications for n coefficients, as
-        Horner's rule does, and nothing for the zero polynomial.
+        p(x) is the XOR over i of c_i x^i = exp[log c_i + w_i], for w_i the
+        log of x^i from `_power_logs`; a zero c_i's log is the sentinel that
+        lands in exp's zero tail. The points go in blocks of about
+        GATHER_BLOCK terms. Charges (n - 1) len(xs) multiplications for n
+        coefficients, as Horner's rule does, and nothing for the zero
+        polynomial.
         """
         xs = np.asarray(xs, dtype=np.int32)
         if self.is_zero:
             return np.zeros_like(xs)
         f, n = self.field, self.coeffs.size
         f.counter.multiplications += (n - 1) * xs.size
-        qm = f.q - 1
         flat = xs.ravel()
         out = np.empty(flat.size, dtype=np.int32)
         logc = f.log[self.coeffs].astype(np.uint32)
-        powers = (np.arange(n) % qm).astype(np.uint32)
         step = max(GATHER_BLOCK // n, 1)
         for s in range(0, flat.size, step):
-            w = (f.log[flat[s : s + step]] % qm).astype(np.uint32)[:, None] * powers
-            for _ in range(2):
-                w = (w & qm) + (w >> f.m)
+            w = _power_logs(f, flat[s : s + step], n)
             w += logc
             out[s : s + step] = np.bitwise_xor.reduce(np.take(f.exp, w), axis=1)
-        out[flat == 0] = self.coeffs[0]
         return out.reshape(xs.shape)
 
     def formal_derivative(self) -> "UniPoly":
@@ -296,6 +290,28 @@ class BiPoly:
         return f"BiPoly({self.to_text()})"
 
 
+def _power_logs(field: Field, xs: np.ndarray, n: int) -> np.ndarray:
+    """Entry (i, s) is the exp-table log of xs[i]^s for s < n, as uint32; uncounted.
+
+    That is s log x mod (q - 1). As q - 1 = 2^m - 1, one fold of the
+    product's high bits onto its low ones leaves it below 2(q - 1), and a
+    conditional subtraction of q - 1 takes it to [0, q - 2]; 0^s for s >= 1
+    gets the zero sentinel. So one more log added to an entry indexes exp
+    correctly: a nonzero product stays below 2(q - 1), where exp is periodic,
+    and a zero factor's sentinel lands in the zero tail. The fold runs in
+    place: the table and one temporary of its size are all it holds.
+    """
+    qm = field.q - 1
+    w = (field.log[xs] % qm).astype(np.uint32)[:, None] * (np.arange(n, dtype=np.uint32) % qm)
+    low = w & qm
+    w >>= field.m
+    w += low
+    np.subtract(w, qm, out=low)
+    np.minimum(w, low, out=w)
+    w[xs == 0, 1:] = field.zero_log
+    return w
+
+
 def dense_products(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row p is the coefficient array of the product of rows a[p] and b[p]; uncounted.
 
@@ -347,10 +363,11 @@ def root_product(field: Field, xs, exps) -> UniPoly:
 
     With A_b the `subproduct` of the x_i whose e_i has bit b set, the
     result P is built by square-and-multiply from the top bit down: P
-    becomes P^2 A_b. A square needs no products in characteristic 2: P^2 =
-    F(X^2), where F holds P's squared coefficients, one gather on the logs
-    (a zero's sentinel log doubles into exp's zero tail). With A = E(X^2) +
-    X O(X^2), P^2 A has F E at the even powers and F O at the odd ones, one
+    becomes P^2 A_b, which is A_b itself at the top bit, where P = 1. A
+    square needs no products in characteristic 2: P^2 = F(X^2), where F
+    holds P's squared coefficients, one gather on the logs (a zero's
+    sentinel log doubles into exp's zero tail). With A = E(X^2) + X O(X^2),
+    P^2 A has F E at the even powers and F O at the odd ones, one
     `dense_products` call on two rows, half the work of multiplying P^2
     with its zero odd coefficients.
 
@@ -362,8 +379,9 @@ def root_product(field: Field, xs, exps) -> UniPoly:
     exps = np.asarray(exps, dtype=np.int64)
     n = int(exps.sum())
     field.counter.multiplications += n * (n + 1) // 2
-    out = np.ones(1, dtype=np.int32)
-    for bit in range(int(exps.max(initial=0)).bit_length() - 1, -1, -1):
+    top = int(exps.max(initial=0)).bit_length() - 1
+    out = subproduct(field, xs[(exps >> top) & 1 == 1]) if top >= 0 else np.ones(1, dtype=np.int32)
+    for bit in range(top - 1, -1, -1):
         squares = field.exp[2 * field.log[out]]
         chosen = (exps >> bit) & 1 == 1
         if not chosen.any():
@@ -384,54 +402,75 @@ LAGRANGE_BLOCK = 256  # points per batched pass: the temporaries stay O(256 k)
 def lagrange_interpolate(field: Field, points) -> UniPoly:
     """The unique polynomial of degree < k = len(points) through the given points.
 
-    The sum over the points with y_i != 0 of y_i * num_i(X) / num_i(x_i),
-    where num_i = master / (X + x_i) and master = prod_j (X + x_j). The points
-    go in blocks of LAGRANGE_BLOCK. Within a block the synthetic divisions,
-    the Horner evaluations num_i(x_i) and the scalings each run as one
-    vector op per coefficient over all the block's points, and the scaled
-    numerators are XOR-reduced in point order into the running sum.
+    With the master m = prod_j (X + x_j), it is the sum over the points with
+    y_i != 0 of c_i m / (X + x_i), for c_i = y_i / m'(x_i): in characteristic
+    2 the quotient's value at x_i is m'(x_i). Synthetic division gives the
+    quotient's coefficient j as sum_s m[j+1+s] x_i^s, so with the power sums
+    P[s] = sum_i c_i x_i^s the result is f[j] = sum_s m[j+1+s] P[s], m's
+    Hankel matrix times P. That is the top half of the product of m with P
+    reversed, taken directly, one gather and XOR per block of about
+    GATHER_BLOCK entries, without the bottom half that `dense_products`
+    would also compute.
 
-    The counts are those of the dense per-point loop (long division of the
-    master by X + x_i, eval_at, div, scale, then acc + term). Per point with
-    y_i != 0: 3k multiplications for the division (each of its k steps
-    multiplies by the divisor's inverted lead and updates 2 slots), k - 1
-    for Horner, 1 for the division of y_i and k for the scaling, plus the
-    trimmed size of the running sum before the point as additions. The
-    master is one
-    `root_product` call and still costs k(k+1)/2, what the chain of k
-    multiplications by X + x_j from 1 charges.
+    The points go in blocks of LAGRANGE_BLOCK, and one table of the logs of
+    x_i^s for s <= k (`_power_logs`) serves a whole block. With E the even
+    part of m, E(x_i) and m'(x_i) are one gather and XOR each at the even
+    powers, and m(x_i) = E(x_i) + x_i m'(x_i) must be 0, or InexactDivision
+    is raised, as the division's remainder would be. The terms c_i x_i^s are
+    one more gather, and their XOR accumulate down the points, carried
+    across blocks, gives the power sums P_p after each point p in turn.
+
+    The counts are closed forms of what the dense per-point loop (long
+    division of the master by X + x_i, Horner's rule at x_i, the division
+    of y_i, the scaling, then acc + term) charges. Per point with y_i != 0,
+    5k multiplications: 3k for the division, k - 1 for Horner, 1 for y_i's
+    division and k for the scaling. The master is one `root_product` call,
+    which charges k(k+1)/2. Each point charges as additions the trimmed
+    size of the running sum before it. After point p that sum has size k -
+    t_p, for t_p the least s with P_p[s] != 0, or 0 if there is none: m is
+    monic, so its coefficient k - 1 - t is P_p[t] plus multiples of the
+    P_p[s], s < t.
     """
-    pts = list(points)
-    if not pts:
+    pts = np.array(list(points), dtype=np.int32).reshape(-1, 2)
+    if not pts.size:
         raise ValueError("need at least one point")
-    xs = [p[0] for p in pts]
-    if len(set(xs)) != len(xs):
+    k, f = len(pts), field
+    xs = pts[:, 0]
+    ordered = np.sort(xs)
+    if (ordered[1:] == ordered[:-1]).any():
         raise DuplicateAbscissa("x-coordinates must be distinct")
-    k = len(xs)
-    m = root_product(field, xs, np.ones(k, dtype=np.int64)).coeffs
-    live = np.array([(x, y) for x, y in pts if y != 0], dtype=np.int32).reshape(-1, 2)
-    acc = np.zeros(k, dtype=np.int32)
-    acc_size = 0
+    live = pts[pts[:, 1] != 0]
+    f.counter.multiplications += 5 * k * len(live)
+    m = root_product(f, xs, np.ones(k, dtype=np.int64)).coeffs
+    logm = f.log[m].astype(np.uint32)
+    sums = np.zeros(k, dtype=np.int32)
+    size = 0
     for start in range(0, len(live), LAGRANGE_BLOCK):
         bx, by = live[start : start + LAGRANGE_BLOCK].T
-        # num[i] is coefficient i of every numerator of the block
-        num = np.empty((k, bx.size), dtype=np.int32)
-        num[k - 1] = m[k]
-        for i in range(k - 1, 0, -1):
-            num[i - 1] = m[i] ^ field.vmul(num[i], bx)
-        rem = m[0] ^ field.vmul(num[0], bx)
-        field.counter.multiplications += 2 * num.size
+        w = _power_logs(f, bx, k + 1)
+        even = np.bitwise_xor.reduce(f.exp[w[:, 0::2] + logm[0::2]], axis=1)
+        deriv = np.bitwise_xor.reduce(f.exp[w[:, :k:2] + logm[1::2]], axis=1)
+        rem = even ^ f.exp[f.log[bx] + f.log[deriv]]
         if rem.any():
             raise InexactDivision(f"remainder dividing the master by X + {bx[rem.argmax()]}")
-        denom = num[k - 1]
-        for i in range(k - 2, -1, -1):
-            denom = field.vmul(denom, bx) ^ num[i]
-        terms = field.vmul(num, field.vmul(by, field.vinv(denom)))
-        # column j becomes the running sum after the block's point j
-        terms[:, 0] ^= acc
-        np.bitwise_xor.accumulate(terms, axis=1, out=terms)
+        # the table becomes the logs of c_i x_i^s in place; row p of the terms, the power sums after point p
+        w = w[:, :k]
+        w += ((f.log[by] - f.log[deriv]) % (f.q - 1)).astype(np.uint32)[:, None]
+        terms = f.exp[w]
+        del w  # so that the next block's table does not meet this one
+        terms[0] ^= sums
+        np.bitwise_xor.accumulate(terms, axis=0, out=terms)
         nonzero = terms != 0
-        sizes = np.where(nonzero.any(axis=0), k - nonzero[::-1].argmax(axis=0), 0)
-        field.counter.additions += acc_size + int(sizes[:-1].sum())
-        acc, acc_size = terms[:, -1], int(sizes[-1])
-    return UniPoly(field, acc)
+        sizes = np.where(nonzero.any(axis=1), k - nonzero.argmax(axis=1), 0)
+        f.counter.additions += size + int(sizes[:-1].sum())
+        sums, size = terms[-1], int(sizes[-1])
+    # row j of the Hankel view is m[j+1:], padded with the zero sentinel; it meets only P[:k - j]
+    pad = np.full(2 * k - 1, f.zero_log, dtype=np.uint32)
+    pad[:k] = logm[1:]
+    hankel = np.ndarray((k, k), pad.dtype, pad, strides=pad.strides * 2)
+    logp = f.log[sums].astype(np.uint32)
+    out = np.empty(k, dtype=np.int32)
+    rows = max(GATHER_BLOCK // k, 1)
+    for j in range(0, k, rows):
+        out[j : j + rows] = np.bitwise_xor.reduce(f.exp[hankel[j : j + rows, : k - j] + logp[: k - j]], axis=1)
+    return UniPoly(f, out)

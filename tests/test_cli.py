@@ -258,6 +258,19 @@ class TestBench:
         ratio = int(reduced_interp[1]) / int(direct_interp[1])
         assert lines[-1] == f"interpolation ratio reduced/direct: {ratio:.6f}"
 
+    def test_repeat_pools_the_ratio(self):
+        # the last line divides the summed reduced by the summed direct interpolation multiplications
+        res = run_cli("bench", "--random", "40", "10", "7", "--repeat", "2")
+        assert res.returncode == 0
+        lines = res.stdout.strip().splitlines()
+        rows = [line.split() for line in lines[1:-1]]
+        interp = {p: [int(row[3]) for row in rows if row[:2] == [p, "interpolation"]] for p in ("direct", "reduced")}
+        assert len(interp["direct"]) == len(interp["reduced"]) == 2
+        ratio = sum(interp["reduced"]) / sum(interp["direct"])
+        first = interp["reduced"][0] / interp["direct"][0]
+        assert f"{ratio:.6f}" != f"{first:.6f}"  # so that the first instance's ratio alone fails
+        assert lines[-1] == f"interpolation ratio reduced/direct: {ratio:.6f}"
+
     @pytest.mark.parametrize(
         "args",
         [

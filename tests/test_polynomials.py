@@ -226,6 +226,87 @@ def eval_many_cases(field, rng):
     return [(p, xs) for p in polys for xs in points]
 
 
+LAGRANGE_BLOCKS = [polynomials.LAGRANGE_BLOCK, 1, 3, 7]
+
+
+def cancelling_points(field, rng, k, depth):
+    """k points on random x's whose first depth + 1 have power sums P[s] = 0 for s < depth.
+
+    With w_i = prod (x_i + x_j) over the other j <= depth + 1, the sum over
+    those points of x_i^s / w_i is 0 for s < depth and 1 for s = depth, so
+    c_i = 1 / w_i, and y_i = c_i m'(x_i) for the master m of all k points,
+    makes the running sum after point depth + 1 lose its top depth
+    coefficients. The other points get random y's, 0 now and then.
+    """
+    xs = rng.sample(range(field.q), k)
+    with field.count_into(OpCounter()):
+
+        def prod_diffs(i, js):
+            v = 1
+            for j in js:
+                if j != i:
+                    v = field.mul(v, xs[i] ^ xs[j])
+            return v
+
+        head = range(depth + 1)
+        ys = [field.div(prod_diffs(i, range(k)), prod_diffs(i, head)) for i in head]
+    ys += [rng.randrange(field.q) for _ in range(k - depth - 1)]
+    return list(zip(xs, ys))
+
+
+class TestLagrangeBlocks:
+    """The power-sum kernel at its block edges: every carry of the running sum and its size across a boundary."""
+
+    @pytest.mark.parametrize("block", LAGRANGE_BLOCKS)
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
+    def test_equals_dense_loop(self, field, block, monkeypatch):
+        monkeypatch.setattr(polynomials, "LAGRANGE_BLOCK", block)
+        rng = random.Random(field.q * 23 + block)
+        cases = []
+        for k in (1, 2, 3, 7, 8, 15, min(field.q, 40)):
+            if k > field.q:
+                continue
+            for zero_share in (0.0, 0.4):
+                xs = rng.sample(range(field.q), k)  # 0 is among them now and then
+                cases.append([(x, 0 if rng.random() < zero_share else rng.randrange(1, field.q)) for x in xs])
+        cases += [cancelling_points(field, rng, min(field.q, 12), depth) for depth in (1, 2, 4)]
+        for pts in cases:
+            got_count, want_count = OpCounter(), OpCounter()
+            with field.count_into(got_count):
+                got = lagrange_interpolate(field, pts)
+            with field.count_into(want_count):
+                want = dense_lagrange(field, pts)
+            assert got == want, pts
+            assert got_count == want_count, pts
+
+    @pytest.mark.parametrize("block", LAGRANGE_BLOCKS)
+    def test_cancelling_prefix_charges_its_trimmed_size(self, block, monkeypatch):
+        # the running sum after point depth + 1 has size k - depth; a kernel that charged k per prefix fails
+        monkeypatch.setattr(polynomials, "LAGRANGE_BLOCK", block)
+        f = Field(8, GF256_POLY)
+        rng = random.Random(block)
+        k = 20
+        for depth in (1, 2, 5):
+            pts = cancelling_points(f, rng, k, depth)
+            pts[depth + 1 :] = [(x, y or 1) for x, y in pts[depth + 1 :]]
+            got_count, want_count = OpCounter(), OpCounter()
+            with f.count_into(got_count):
+                got = lagrange_interpolate(f, pts)
+            with f.count_into(want_count):
+                want = dense_lagrange(f, pts)
+            assert got == want
+            assert got_count == want_count
+            assert got_count.additions <= k * (k - 1) - depth  # a later prefix may cancel by chance too
+
+    def test_wrong_master_raises(self, monkeypatch):
+        # m(x_i) != 0 is the division's nonzero remainder; only a faulty master can get there
+        f = Field(8, GF256_POLY)
+        right = polynomials.root_product
+        monkeypatch.setattr(polynomials, "root_product", lambda *args: right(*args) + constant(f, 1))
+        with pytest.raises(InexactDivision):
+            lagrange_interpolate(f, [(1, 2), (3, 4), (5, 6)])
+
+
 class TestEvalMany:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f"q{f.q}")
@@ -267,9 +348,13 @@ class TestMul:
 
 
 class TestKernelMemory:
-    """The kernels' temporaries stay O(GATHER_BLOCK + output) over GF(2^16), where q and N are large."""
+    """The kernels' temporaries stay O(block + output) over GF(2^16), where q and N are large.
+
+    A block is GATHER_BLOCK entries, or for Lagrange LAGRANGE_BLOCK points times k + 1 powers.
+    """
 
     LIMIT_MB = 4
+    LAGRANGE_LIMIT_MB = 9
 
     def peak_mb(self, fn):
         tracemalloc.start()
@@ -290,6 +375,15 @@ class TestKernelMemory:
             p = UniPoly(f, rng.integers(0, f.q, 4001))
             points = f.elements[1:]
             assert self.peak_mb(lambda: p.eval_many(points)) < self.LIMIT_MB
+
+    def test_lagrange_peak(self):
+        # 2,000 points with y != 0: eight blocks of a 2,001 x LAGRANGE_BLOCK power table of uint32 logs
+        f = Field(16, 0x1100B)
+        rng = np.random.default_rng(17)
+        xs = rng.choice(f.q, 2000, replace=False)
+        pts = list(zip(xs.tolist(), rng.integers(1, f.q, xs.size).tolist()))
+        with f.count_into(OpCounter()):
+            assert self.peak_mb(lambda: lagrange_interpolate(f, pts)) < self.LAGRANGE_LIMIT_MB
 
 
 class TestWeightedDegree:
