@@ -4,14 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .factorization import (
-    ACCEPTED,
-    REJECTED_BY_VERIFICATION,
-    CandidateMessage,
-    factor_reduced,
-    is_y_root,
-    polynomial_y_roots,
-)
+from .factorization import ACCEPTED, CandidateMessage, factor_reduced, polynomial_y_roots
 from .galois import OpCounter
 from .koetter import InterpolationProblem, solve
 from .reencoding import prepare_reduced, solve_reduced
@@ -27,6 +20,7 @@ class DecodeReport:
     r: int
     tau: int | None = dataclass_field(default=None)  # the reduced path's effective error bound
     reduced_constraints: int | None = dataclass_field(default=None)
+    reencoding_positions: list[int] | None = dataclass_field(default=None)  # indices into the problem's points
     trace: list | None = dataclass_field(default=None)
 
     def accepted(self) -> list[CandidateMessage]:
@@ -46,6 +40,7 @@ class DecodeReport:
                 "r": self.r,
                 "tau": self.tau,
                 "reduced_constraints": self.reduced_constraints,
+                "reencoding_positions": self.reencoding_positions,
             },
         }
 
@@ -76,15 +71,15 @@ def decode_reduced(
     verify: bool = False,
     collect_trace: bool = False,
 ) -> DecodeReport:
-    """Re-encoding path: reduced interpolation, then reduced factorization.
+    """Re-encoding path: one `ReducedContext`, the reduced interpolation, then `factor_reduced`.
 
     tau defaults to min(k, 6); below 1 it is rejected before any work.
     The rejection rules (a)-(d) of `factor_reduced` alone can accept a
     message f for which Y - f(X) does not divide the original problem's Q,
-    which the direct path never lists. `verify` demotes such candidates by
-    rule (e), `is_y_root` on the reduced solution and each accepted
-    candidate's sigma and omega: one Horner pass per accepted candidate,
-    charged to the factorization phase.
+    which the direct path never lists. `verify` adds rule (e), the last
+    rule of `factor_reduced`'s chain, which demotes such candidates: one
+    Horner pass per candidate that rules (a)-(d) accept, charged to the
+    factorization phase.
     """
     f = problem.field
     if tau is None:
@@ -95,16 +90,11 @@ def decode_reduced(
     interp = OpCounter()
     fact = OpCounter()
     with f.count_into(setup):
-        rset, ctx, n_orig, dstar = prepare_reduced(problem)
+        ctx = prepare_reduced(problem)
     with f.count_into(interp):
         res = solve_reduced(ctx, collect_trace=collect_trace)
     with f.count_into(fact):
-        candidates = factor_reduced(res.minimal, ctx, rset, tau)
-    if verify:
-        with f.count_into(fact):
-            for c in candidates:
-                if c.accepted and not is_y_root(res.minimal, c.sigma, c.omega):
-                    c.status = REJECTED_BY_VERIFICATION
+        candidates = factor_reduced(res.minimal, ctx, tau, verify)
     return DecodeReport(
         "reduced",
         candidates,
@@ -113,10 +103,11 @@ def decode_reduced(
             "interpolation": interp.snapshot(),
             "factorization": fact.snapshot(),
         },
-        n_orig,
-        dstar,
+        ctx.n_constraints,
+        ctx.delta_star,
         ctx.r,
         tau,
         reduced_constraints=res.n_constraints,
+        reencoding_positions=ctx.rset.indices,
         trace=res.trace,
     )

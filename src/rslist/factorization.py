@@ -20,7 +20,7 @@ import numpy as np
 
 from .galois import Field
 from .polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpolate
-from .reencoding import ReducedContext, ReencodingSet
+from .reencoding import ReducedContext
 
 ACCEPTED = "accepted"
 DEGREE_EXCEEDS_TAU = "degree_exceeds_tau"
@@ -302,7 +302,7 @@ def berlekamp_massey(field: Field, gammas: list[int]) -> tuple[LocatorEvaluatorP
     return LocatorEvaluatorPair(sigma, omega), ACCEPTED
 
 
-def find_error_locations(sigma: UniPoly, rset: ReencodingSet) -> tuple[list[int] | None, str]:
+def find_error_locations(sigma: UniPoly, ctx: ReducedContext) -> tuple[list[int] | None, str]:
     """Positions in the re-encoding set where sigma vanishes (rule c on failure)."""
     t = int(sigma.degree) if not sigma.is_zero else 0
     if t == 0:
@@ -310,7 +310,7 @@ def find_error_locations(sigma: UniPoly, rset: ReencodingSet) -> tuple[list[int]
     roots = univariate_roots(sigma)
     if len(roots) < t:
         return None, INSUFFICIENT_ROOTS
-    rxs = rset.xs
+    rxs = ctx.rset.xs
     if any(root not in rxs for root in roots):
         return None, INSUFFICIENT_ROOTS
     positions = [i for i, x in enumerate(rxs) if x in roots]
@@ -318,16 +318,15 @@ def find_error_locations(sigma: UniPoly, rset: ReencodingSet) -> tuple[list[int]
 
 
 def error_values(
-    pair: LocatorEvaluatorPair, g: UniPoly, locations: list[int], rset: ReencodingSet
+    pair: LocatorEvaluatorPair, locations: list[int], ctx: ReducedContext
 ) -> tuple[dict[int, int] | None, str]:
     """e_i = omega(x_i) g'(x_i) / sigma'(x_i) per location; rule (d) on any zero."""
-    f = g.field
-    gprime = g.formal_derivative()
+    f = ctx.g.field
     sprime = pair.sigma.formal_derivative()
     out: dict[int, int] = {}
     for i in locations:
-        x = rset.points[i].x
-        num = f.mul(pair.omega.eval_at(x), gprime.eval_at(x))
+        x = ctx.rset.points[i].x
+        num = f.mul(pair.omega.eval_at(x), ctx.gprime.eval_at(x))
         e = f.div(num, sprime.eval_at(x))
         if e == 0:
             return None, ZERO_ERROR_VALUE
@@ -335,15 +334,11 @@ def error_values(
     return out, ACCEPTED
 
 
-def corrected_message(rset: ReencodingSet, locations: list[int], errors: dict[int, int]) -> UniPoly:
+def corrected_message(ctx: ReducedContext, locations: list[int], errors: dict[int, int]) -> UniPoly:
     """Interpolate the k corrected re-encoding values into the message polynomial."""
-    f = rset.e_poly.field
     loc = set(locations)
-    pts = []
-    for i, p in enumerate(rset.points):
-        y = p.y ^ errors[i] if i in loc else p.y
-        pts.append((p.x, y))
-    return lagrange_interpolate(f, pts)
+    pts = [(p.x, p.y ^ errors[i] if i in loc else p.y) for i, p in enumerate(ctx.rset.points)]
+    return lagrange_interpolate(ctx.g.field, pts)
 
 
 def is_y_root(h: BiPoly, sigma: UniPoly, omega: UniPoly) -> bool:
@@ -364,34 +359,37 @@ def is_y_root(h: BiPoly, sigma: UniPoly, omega: UniPoly) -> bool:
     return acc.is_zero
 
 
-def factor_reduced(h: BiPoly, ctx: ReducedContext, rset: ReencodingSet, tau: int) -> list[CandidateMessage]:
-    """Full pipeline per branch; rejected branches keep their status.
+def factor_reduced(h: BiPoly, ctx: ReducedContext, tau: int, verify: bool = False) -> list[CandidateMessage]:
+    """Rules (a)-(e) as one chain per branch; a rejected branch keeps the status of the rule it failed.
 
-    Each candidate names its one branch. No two accepted candidates share
-    an f: distinct branches have distinct 2 tau-prefixes, and an accepted
-    prefix is fixed by its error positions and values. tau beyond k is
-    allowed (2k syndromes always suffice, extras are just more convolution
-    checks); tau < 1 is rejected.
+    Each branch's one candidate is filled in as its rules pass: sigma and
+    omega (rules a, b), the error positions (c), the error values (d), the
+    corrected message, and with `verify` rule (e), `is_y_root`, which is
+    charged here like the rest. No two candidates that rules (a)-(d) accept
+    share an f: distinct branches have distinct 2 tau-prefixes, and an
+    accepted prefix is fixed by its error positions and values. tau beyond
+    k is allowed (2k syndromes always suffice, extras are just more
+    convolution checks); tau < 1 is rejected.
     """
     if tau < 1:
         raise ValueError(f"tau={tau} must be >= 1")
-    f = h.field
     out: list[CandidateMessage] = []
     for idx, gammas in enumerate(rr_power_series(h, 2 * tau)):
-        pair, status = berlekamp_massey(f, gammas)
+        pair, status = berlekamp_massey(h.field, gammas)
+        cand = CandidateMessage(None, status, branch_indices=[idx])
+        out.append(cand)
         if pair is None:
-            out.append(CandidateMessage(None, status, branch_indices=[idx]))
             continue
-        locations, status = find_error_locations(pair.sigma, rset)
+        cand.sigma, cand.omega = pair.sigma, pair.omega
+        locations, cand.status = find_error_locations(pair.sigma, ctx)
         if locations is None:
-            out.append(CandidateMessage(None, status, pair.sigma, pair.omega, branch_indices=[idx]))
             continue
-        errors, status = error_values(pair, ctx.g, locations, rset)
+        cand.error_positions = locations
+        errors, cand.status = error_values(pair, locations, ctx)
         if errors is None:
-            out.append(
-                CandidateMessage(None, status, pair.sigma, pair.omega, locations, branch_indices=[idx])
-            )
             continue
-        msg = corrected_message(rset, locations, errors)
-        out.append(CandidateMessage(msg, ACCEPTED, pair.sigma, pair.omega, locations, errors, [idx]))
+        cand.error_values = errors
+        cand.f = corrected_message(ctx, locations, errors)
+        if verify and not is_y_root(h, pair.sigma, pair.omega):
+            cand.status = REJECTED_BY_VERIFICATION
     return out

@@ -161,15 +161,14 @@ class Field:
             v = s
         else:
             s = s.strip()
-            if s == "0":
-                return 0
-            if s in ("1", "a^0"):
-                return 1
             if s == "a":
                 return self.from_exponent(1)
-            if s.startswith("a^"):
-                return self.from_exponent(int(s[2:]))
-            v = int(s)
+            try:
+                if s.startswith("a^"):
+                    return self.from_exponent(int(s[2:]))
+                v = int(s)
+            except ValueError:
+                raise ValueError(f"element {s!r} is not an integer, 'a' or 'a^i' with an integer i") from None
         if not 0 <= v < self.q:
             raise ValueError(f"element {v} outside GF(2^{self.m})")
         return v

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import Field
 from .koetter import (
     BasisTensor,
     InterpolationPoint,
@@ -46,13 +45,18 @@ class ReencodingSet:
 
 @dataclass
 class ReducedContext:
-    field: Field
+    """What the re-encoding leaves for every later step of the reduced path."""
+
+    rset: ReencodingSet
     g: UniPoly
+    gprime: UniPoly  # g's formal derivative
     psi: UniPoly
     tails: list[UniPoly]  # t_0 .. t_r
     v: dict[int, int]  # re-encoding x -> multiplicity
     s_star: list[InterpolationPoint]  # transformed points with g(x) != 0
     t_star: list[InterpolationPoint]  # transformed points sharing a re-encoding x
+    n_constraints: int  # of the original problem
+    delta_star: int  # of the original problem
     r: int
 
     def reduced_constraints(self) -> int:
@@ -82,8 +86,10 @@ def select_reencoding_set(problem: InterpolationProblem) -> ReencodingSet:
     return ReencodingSet([p for _, p in chosen], e, [i for i, _ in chosen])
 
 
-def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoint]) -> ReducedContext:
-    """Auxiliary polynomials and the transformed point set.
+def build_context(
+    rset: ReencodingSet, remaining: list[InterpolationPoint], n_orig: int, dstar: int, r: int
+) -> ReducedContext:
+    """Auxiliary polynomials and the transformed point set, with the original problem's N, delta* and r.
 
     g is the monic product over the re-encoding x's, psi the multiplicity-
     weighted product, and t_j carries the excess (j - v_i)+ factors that any
@@ -92,6 +98,7 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
     multiplications by X + x_i does. Remaining points split into S (fresh x,
     divide by g(x)) and T (re-encoding x, divide by g'(x)); e, g and g' are
     evaluated there by `eval_many`, at n - 1 per point for n coefficients.
+    g' stays in the context for the error values.
     """
     f = rset.e_poly.field
     roots = np.array(rset.xs, dtype=np.int32)
@@ -103,15 +110,16 @@ def build_context(rset: ReencodingSet, r: int, remaining: list[InterpolationPoin
     xs = np.array([p.x for p in remaining], dtype=np.int32)
     on_r = np.array([p.x in v for p in remaining], dtype=bool)
     yshift = np.array([p.y for p in remaining], dtype=np.int32) ^ rset.e_poly.eval_many(xs)
+    gprime = g.formal_derivative()
     denom = np.empty_like(xs)
-    denom[on_r] = g.formal_derivative().eval_many(xs[on_r])
+    denom[on_r] = gprime.eval_many(xs[on_r])
     denom[~on_r] = g.eval_many(xs[~on_r])
     zs = f.vmul(yshift, f.vinv(denom))
     s_star: list[InterpolationPoint] = []
     t_star: list[InterpolationPoint] = []
     for p, z, t in zip(remaining, zs, on_r):
         (t_star if t else s_star).append(InterpolationPoint(p.x, int(z), p.mult))
-    return ReducedContext(f, g, psi, tails, v, s_star, t_star, r)
+    return ReducedContext(rset, g, gprime, psi, tails, v, s_star, t_star, n_orig, dstar, r)
 
 
 def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:
@@ -121,7 +129,7 @@ def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResu
     order (1, -1), standard discrepancies on S* points and the transformed
     discrepancy on T* points. Returns the (1, -1)-least basis polynomial.
     """
-    f = ctx.field
+    f = ctx.g.field
     r = ctx.r
     polys = [BiPoly(f, [UniPoly.zero(f)] * j + [ctx.tails[j]]) for j in range(r + 1)]
     basis = BasisTensor(polys, ORDER_REDUCED, [(int(ctx.tails[j].degree), j) for j in range(r + 1)])
@@ -130,13 +138,12 @@ def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResu
     return SolveResult(basis.polys[basis.ascending()[0]], basis, ctx.reduced_constraints(), -1, r, trace)
 
 
-def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, ReducedContext, int, int]:
+def prepare_reduced(problem: InterpolationProblem) -> ReducedContext:
     """Validate, select R, drop it and build the reduced context.
 
     r is taken from the original problem's constraint count so the basis
-    spans the same Y-degrees as the original solution space. Returns the
-    re-encoding set, the context (whose `r` is the one used), the original
-    constraint count and delta*.
+    spans the same Y-degrees as the original solution space; the context
+    also keeps that count and delta*.
     """
     problem.validate()
     n_orig = n_constraints(p.mult for p in problem.points)
@@ -144,6 +151,4 @@ def prepare_reduced(problem: InterpolationProblem) -> tuple[ReencodingSet, Reduc
     rset = select_reencoding_set(problem)
     drop = set(rset.indices)
     remaining = [p for i, p in enumerate(problem.points) if i not in drop]
-    ctx = build_context(rset, r, remaining)
-    return rset, ctx, n_orig, dstar
-
+    return build_context(rset, remaining, n_orig, dstar, r)

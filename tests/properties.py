@@ -1,6 +1,6 @@
 """Randomized property checks shared by the module tests and the acceptance run."""
 
-from rslist.koetter import InterpolationPoint
+from rslist.koetter import InterpolationPoint, delta_star, n_constraints
 from rslist.polynomials import BiPoly, UniPoly
 from rslist.reencoding import ReencodingSet, build_context
 
@@ -115,16 +115,15 @@ def _bipoly_mul(a: BiPoly, b: BiPoly) -> BiPoly:
 
 
 def random_context(rng, f, k_max=4, r=3):
-    """A random re-encoding set plus its reduced context and Q' builder."""
+    """The reduced context of a random re-encoding set at the given r; N and delta* are its k points'."""
     k = rng.randint(2, k_max)
     xs = rng.sample(f.all_elements()[1:], k)
     pts = [InterpolationPoint(x, rng.randrange(f.q), rng.randint(1, 3)) for x in xs]
     from rslist.polynomials import lagrange_interpolate
 
     e = lagrange_interpolate(f, [(p.x, p.y) for p in pts])
-    rset = ReencodingSet(pts, e, list(range(k)))
-    ctx = build_context(rset, r, [])
-    return rset, ctx
+    n = n_constraints(p.mult for p in pts)
+    return build_context(ReencodingSet(pts, e, list(range(k))), [], n, delta_star(n, k)[0], r)
 
 
 def random_structured_h(rng, f, ctx, r):
@@ -151,7 +150,7 @@ def check_reduced_point_multiplicity_maps(rng, fields, cases):
     for _ in range(cases):
         f = rng.choice(fields)
         r = rng.randint(1, 3)
-        rset, ctx = random_context(rng, f, r=r)
+        ctx = random_context(rng, f, r=r)
         h = random_structured_h(rng, f, ctx, r)
         qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(f))
         if qprime.is_zero:
@@ -165,10 +164,10 @@ def check_reduced_point_multiplicity_maps(rng, fields, cases):
             gamma = f.div(beta, ctx.g.eval_at(alpha))
             assert multiplicity_at(qprime, alpha, beta) == multiplicity_at(h, alpha, gamma)
         else:
-            pt = rng.choice(rset.points)
+            pt = rng.choice(ctx.rset.points)
             alpha, vi = pt.x, pt.mult
             beta = rng.randrange(f.q)
-            gp = ctx.g.formal_derivative().eval_at(alpha)
+            gp = ctx.gprime.eval_at(alpha)
             gamma = f.div(beta, gp)
             xp = [UniPoly.one(f)]
             for _ in range(max(vi, ctx.r) + 1):
@@ -182,8 +181,8 @@ def check_degree_identity(rng, fields, cases):
     for _ in range(cases):
         f = rng.choice(fields)
         r = rng.randint(1, 3)
-        rset, ctx = random_context(rng, f, r=r)
-        k = len(rset.points)
+        ctx = random_context(rng, f, r=r)
+        k = len(ctx.rset.points)
         h = random_structured_h(rng, f, ctx, r)
         qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(f))
         assert wdeg(qprime, 1, k - 1) == int(ctx.psi.degree) + wdeg(h, 1, -1)

@@ -226,7 +226,7 @@ def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveRe
 
 def solve_reduced(ctx, collect_trace: bool = False) -> SolveResult:
     """`rslist.reencoding.solve_reduced` on the per-polynomial engine."""
-    f, r = ctx.field, ctx.r
+    f, r = ctx.g.field, ctx.r
     polys = [BiPoly(f, [UniPoly.zero(f)] * j + [ctx.tails[j]]) for j in range(r + 1)]
     state = BasisState(polys, ORDER_REDUCED)
     trace = [] if collect_trace else None

@@ -111,7 +111,7 @@ def test_criterion_2_shifted_golden(gf8, crit):
 
 def test_criterion_3_reduced_golden(gf8, worked_problem, crit):
     with crit(3, "reduced golden run: context, output, trace, reconstruction"):
-        rset, ctx, _, _ = prepare_reduced(worked_problem)
+        ctx = prepare_reduced(worked_problem)
         res = solve_reduced(ctx, collect_trace=True)
         a = gf8.from_exponent
         assert ctx.tails[2].to_text() == "a^2 + X"
@@ -124,20 +124,20 @@ def test_criterion_3_reduced_golden(gf8, worked_problem, crit):
             got = {j: p.to_text() for j, p in res.trace[i].basis}
             assert got == dict(rows), f"trace row {i + 1}"
             assert [j for j, _ in res.trace[i].basis] == [j for j, _ in rows]
-        q = reconstruct(res.minimal, ctx.psi, ctx.g, rset.e_poly)
+        q = reconstruct(res.minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
         assert q.to_text() == gt.Q_DIRECT
 
 
 def test_criterion_4_factorization_golden(gf8, worked_problem, crit):
     with crit(4, "factorization golden run: both candidates with locator data"):
-        rset, ctx, _, _ = prepare_reduced(worked_problem)
+        ctx = prepare_reduced(worked_problem)
         h = solve_reduced(ctx).minimal
         a = gf8.from_exponent
         branches = rr_power_series(h, 8)
         assert len(branches) == 2
         assert branches[0] == [0] * 8
         assert [gf8.format_element(g) for g in branches[1]] == gt.ERROR_BRANCH_SYNDROMES
-        cands = factor_reduced(h, ctx, rset, 4)
+        cands = factor_reduced(h, ctx, 4)
         accepted = {tuple(c.f.to_json()): c for c in cands if c.accepted}
         assert set(accepted) == {(a(5), a(6)), (a(6), a(2))}
         c1 = accepted[(a(5), a(6))]

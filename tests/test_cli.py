@@ -68,6 +68,14 @@ class TestDecode:
                 assert accepted == [("a^5", "a^6"), ("a^6", "a^2")], (problem.name, path)
                 assert report["stats"]["tau"] == (None if path == "direct" else tau)
 
+    def test_reencoding_positions(self):
+        # indices into the file's point list; the direct path re-encodes nothing
+        problem = str(DATA / "worked_gf8_problem.json")
+        for path, positions in (("reduced", [0, 1]), ("direct", None)):
+            res = run_cli("decode", problem, "--path", path)
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["stats"]["reencoding_positions"] == positions
+
     def test_integer_output(self):
         # every field element of the report is a JSON int, not a string such as "2"
         res = run_cli("decode", str(DATA / "nonroot_gf8_problem.json"), "--ints")
@@ -98,6 +106,16 @@ class TestDecode:
         assert res.returncode == 2
         res = run_cli("decode", str(tmp_path / "missing.json"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("value", ["a^", "a^b", "1.5"])
+    def test_malformed_element_is_named(self, tmp_path, value):
+        obj = json.loads((DATA / "worked_gf8_problem.json").read_text())
+        obj["points"][0]["y"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        res = run_cli("decode", str(bad))
+        assert res.returncode == 2
+        assert repr(value) in res.stderr and "a^i" in res.stderr, res.stderr
 
     @pytest.mark.parametrize("path", ["reduced", "direct"])
     def test_tau_outside_1_to_n_exits_2(self, path):

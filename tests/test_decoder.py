@@ -95,9 +95,9 @@ class TestReduced:
 
 def reduced_solution_and_q(problem):
     """The reduced path's H and, as the paper-equivalence oracle, the original problem's Q rebuilt from it."""
-    rset, ctx, _, _ = prepare_reduced(problem)
+    ctx = prepare_reduced(problem)
     h = solve_reduced(ctx).minimal
-    return h, reconstruct(h, ctx.psi, ctx.g, rset.e_poly)
+    return h, reconstruct(h, ctx.psi, ctx.g, ctx.rset.e_poly)
 
 
 def verified_nonroots(report, h, q) -> int:
@@ -304,6 +304,30 @@ class TestLargeProfile:
         # the plain decode's 362,557 plus rule (e) on the one accepted candidate
         assert counts(report)["factorization"] == (364_050, 71_697)
 
+    def test_verified_factorization_is_charged_inside_factor_reduced(self, monkeypatch):
+        # rule (e) is the last rule of factor_reduced's chain, so a span around that one call
+        # (as perfbench's tracer puts one) accounts for the whole factorization phase
+        from rslist.bench import large_profile_problem
+
+        charged = []
+        real = decoder.factor_reduced
+
+        def recording(h, *args, **kwargs):
+            ctr = h.field.counter
+            m0, a0 = ctr.multiplications, ctr.additions
+            out = real(h, *args, **kwargs)
+            charged.append((ctr.multiplications - m0, ctr.additions - a0))
+            return out
+
+        monkeypatch.setattr(decoder, "factor_reduced", recording)
+        nonroot, _, tau = load_problem(str(TestNonRootCandidate.PATH))
+        report = decode_reduced(nonroot, tau=tau, verify=True)
+        assert REJECTED_BY_VERIFICATION in {c.status for c in report.candidates}  # rule (e) fired
+        assert charged == [counts(report)["factorization"]]
+        charged.clear()
+        report = decode_reduced(large_profile_problem(seed=1)[0], tau=6, verify=True)
+        assert charged == [counts(report)["factorization"]] == [(364_050, 71_697)]
+
     def test_direct_decode_counts(self):
         from rslist.bench import large_profile_problem
 
@@ -364,7 +388,7 @@ class TestEffectiveTau:
 
 
 # the `stats` keys of a decode report on both paths, exactly as README lists them
-REPORT_STATS_KEYS = {"n_constraints", "delta_star", "r", "tau", "reduced_constraints"}
+REPORT_STATS_KEYS = {"n_constraints", "delta_star", "r", "tau", "reduced_constraints", "reencoding_positions"}
 
 
 def test_report_json_shape(gf8, worked_problem):

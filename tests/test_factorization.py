@@ -23,9 +23,9 @@ from rslist.factorization import (
     univariate_roots,
 )
 from rslist.galois import GF8_POLY, GF16_POLY, GF256_POLY, Field, OpCounter
-from rslist.koetter import InterpolationPoint, InterpolationProblem
+from rslist.koetter import InterpolationPoint, InterpolationProblem, delta_star, n_constraints
 from rslist.polynomials import BiPoly, UniPoly, ZeroPolynomial, lagrange_interpolate
-from rslist.reencoding import ReencodingSet, prepare_reduced, solve_reduced
+from rslist.reencoding import ReencodingSet, build_context, prepare_reduced, solve_reduced
 
 import reference_rr
 from conftest import random_unipoly
@@ -45,18 +45,8 @@ import golden_tables as gt
 
 
 @pytest.fixture
-def worked_prepared(worked_problem):
+def worked_ctx(worked_problem):
     return prepare_reduced(worked_problem)
-
-
-@pytest.fixture
-def worked_rset(worked_prepared):
-    return worked_prepared[0]
-
-
-@pytest.fixture
-def worked_ctx(worked_prepared):
-    return worked_prepared[1]
 
 
 @pytest.fixture
@@ -65,9 +55,11 @@ def worked_h(worked_ctx):
     return solve_reduced(worked_ctx).minimal
 
 
-def make_rset(f, pts):
+def make_ctx(f, pts):
+    """The reduced context of re-encoding set `pts` with no other points, at r = 1."""
     e = lagrange_interpolate(f, [(p.x, p.y) for p in pts])
-    return ReencodingSet(list(pts), e, list(range(len(pts))))
+    n = n_constraints(p.mult for p in pts)
+    return build_context(ReencodingSet(list(pts), e, list(range(len(pts)))), [], n, delta_star(n, len(pts))[0], 1)
 
 
 class TestPowerSeries:
@@ -238,7 +230,7 @@ class TestMatchesReferenceRR:
         from rslist.bench import large_profile_problem
 
         problem, _ = large_profile_problem(seed=2001)
-        _, ctx, _, _ = prepare_reduced(problem)
+        ctx = prepare_reduced(problem)
         h = solve_reduced(ctx).minimal
         assert self.counted(h.field, rr_power_series, h, 12) == self.counted(
             h.field, reference_rr.rr_power_series, h, 12
@@ -378,47 +370,47 @@ def _generates(f, sigma, series):
 
 
 class TestErrorLocations:
-    def test_worked_problemd(self, gf8, worked_rset):
+    def test_worked_problemd(self, gf8, worked_ctx):
         a = gf8.from_exponent
         sigma = UniPoly(gf8, [1, a(5)])
-        locs, status = find_error_locations(sigma, worked_rset)
+        locs, status = find_error_locations(sigma, worked_ctx)
         assert status == ACCEPTED and locs == [1]
 
-    def test_no_errors(self, gf8, worked_rset):
-        locs, status = find_error_locations(UniPoly.one(gf8), worked_rset)
+    def test_no_errors(self, gf8, worked_ctx):
+        locs, status = find_error_locations(UniPoly.one(gf8), worked_ctx)
         assert status == ACCEPTED and locs == []
 
-    def test_irreducible_sigma_rejected(self, gf8, worked_rset):
+    def test_irreducible_sigma_rejected(self, gf8, worked_ctx):
         sigma = UniPoly(gf8, [1, 1, 1])  # X^2 + X + 1 has no roots in GF(8)
         assert univariate_roots(sigma) == []
-        locs, status = find_error_locations(sigma, worked_rset)
+        locs, status = find_error_locations(sigma, worked_ctx)
         assert locs is None and status == INSUFFICIENT_ROOTS
 
-    def test_root_outside_reencoding_set_rejected(self, gf8, worked_rset):
+    def test_root_outside_reencoding_set_rejected(self, gf8, worked_ctx):
         a = gf8.from_exponent
         x = a(5)  # not a re-encoding x-coordinate
         sigma = x_plus(gf8, x).scale(gf8.inv(x))
-        locs, status = find_error_locations(sigma, worked_rset)
+        locs, status = find_error_locations(sigma, worked_ctx)
         assert locs is None and status == INSUFFICIENT_ROOTS
 
 
 class TestErrorValues:
-    def test_worked_problemd_value(self, gf8, worked_ctx, worked_rset):
+    def test_worked_problemd_value(self, gf8, worked_ctx):
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
         pair = LocatorEvaluatorPair(UniPoly(gf8, [1, a(5)]), constant(gf8, a(5)))
-        values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
+        values, status = error_values(pair, [1], worked_ctx)
         assert status == ACCEPTED and values == {1: a(4)}
 
-    def test_empty_locations(self, gf8, worked_ctx, worked_rset):
+    def test_empty_locations(self, gf8, worked_ctx):
         from rslist.factorization import LocatorEvaluatorPair
 
         pair = LocatorEvaluatorPair(UniPoly.one(gf8), UniPoly.zero(gf8))
-        values, status = error_values(pair, worked_ctx.g, [], worked_rset)
+        values, status = error_values(pair, [], worked_ctx)
         assert status == ACCEPTED and values == {}
 
-    def test_zero_value_rejected(self, gf8, worked_ctx, worked_rset):
+    def test_zero_value_rejected(self, gf8, worked_ctx):
         a = gf8.from_exponent
         from rslist.factorization import LocatorEvaluatorPair
 
@@ -426,30 +418,29 @@ class TestErrorValues:
         sigma = UniPoly(gf8, [1, a(5)])
         omega = x_plus(gf8, a(2))
         pair = LocatorEvaluatorPair(sigma, omega)
-        values, status = error_values(pair, worked_ctx.g, [1], worked_rset)
+        values, status = error_values(pair, [1], worked_ctx)
         assert values is None and status == ZERO_ERROR_VALUE
 
 
 class TestCorrectedMessage:
-    def test_worked_problemd_with_error(self, gf8, worked_rset):
+    def test_worked_problemd_with_error(self, gf8, worked_ctx):
         a = gf8.from_exponent
-        f2 = corrected_message(worked_rset, [1], {1: a(4)})
+        f2 = corrected_message(worked_ctx, [1], {1: a(4)})
         assert f2.to_json() == [a(6), a(2)]
 
-    def test_no_errors_returns_e(self, gf8, worked_rset):
-        f1 = corrected_message(worked_rset, [], {})
-        assert f1 == worked_rset.e_poly
+    def test_no_errors_returns_e(self, gf8, worked_ctx):
+        f1 = corrected_message(worked_ctx, [], {})
+        assert f1 == worked_ctx.rset.e_poly
 
     def test_all_zero_values(self, gf8):
         pts = [InterpolationPoint(1, 0, 1), InterpolationPoint(2, 0, 1)]
-        rset = make_rset(gf8, pts)
-        assert corrected_message(rset, [], {}).is_zero
+        assert corrected_message(make_ctx(gf8, pts), [], {}).is_zero
 
 
 class TestFactorReduced:
-    def test_worked_problemd(self, gf8, worked_h, worked_ctx, worked_rset):
+    def test_worked_problemd(self, gf8, worked_h, worked_ctx):
         a = gf8.from_exponent
-        cands = factor_reduced(worked_h, worked_ctx, worked_rset, 4)
+        cands = factor_reduced(worked_h, worked_ctx, 4)
         accepted = [c for c in cands if c.accepted]
         assert {tuple(c.f.to_json()) for c in accepted} == {(a(5), a(6)), (a(6), a(2))}
         by_f = {tuple(c.f.to_json()): c for c in accepted}
@@ -460,15 +451,15 @@ class TestFactorReduced:
         assert witherr.omega.to_json() == [a(5)]
         assert witherr.error_positions == [1] and witherr.error_values == {1: a(4)}
 
-    def test_pure_y_gives_e(self, gf8, worked_ctx, worked_rset):
-        cands = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, worked_rset, 4)
+    def test_pure_y_gives_e(self, gf8, worked_ctx):
+        cands = factor_reduced(BiPoly.y_power(gf8, 1), worked_ctx, 4)
         accepted = [c for c in cands if c.accepted]
         assert len(accepted) == 1
-        assert accepted[0].f == worked_rset.e_poly
+        assert accepted[0].f == worked_ctx.rset.e_poly
 
-    def test_tau_zero_rejected(self, gf8, worked_h, worked_ctx, worked_rset):
+    def test_tau_zero_rejected(self, gf8, worked_h, worked_ctx):
         with pytest.raises(ValueError):
-            factor_reduced(worked_h, worked_ctx, worked_rset, 0)
+            factor_reduced(worked_h, worked_ctx, 0)
 
 
 class TestDirectRoots:
@@ -528,7 +519,8 @@ class TestLinearFactorDivisibility:
                 p = pts[err_pos]
                 pts[err_pos] = InterpolationPoint(p.x, p.y ^ rng.randrange(1, f.q), p.mult)
             prob = InterpolationProblem(f, pts, k)
-            rset, ctx, _, _ = prepare_reduced(prob)
+            ctx = prepare_reduced(prob)
+            rset = ctx.rset
             h = solve_reduced(ctx).minimal
             q = reconstruct(h, ctx.psi, ctx.g, rset.e_poly)
             if not y_eval(q, fpoly).is_zero:

@@ -341,7 +341,7 @@ class TestMatchesReferenceEngine:
         crossed = zero_y = t_star_mult_3 = 0
         for prob in self.problems(82, [gf8, gf16]):
             try:
-                _, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
             res = self.assert_same(solve_reduced, reference_koetter.solve_reduced, prob.field, ctx)
@@ -357,7 +357,7 @@ class TestMatchesReferenceEngine:
         raised = 0
         for _ in range(self.CASES):
             prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
-            _, ctx, _, _ = prepare_reduced(prob)
+            ctx = prepare_reduced(prob)
             ctx = dataclasses.replace(ctx, tails=[UniPoly.one(prob.field)] * (ctx.r + 1))
             got = self.run(solve_reduced, prob.field, ctx)[0]
             assert got == self.run(reference_koetter.solve_reduced, prob.field, ctx)[0]
@@ -402,7 +402,7 @@ class TestMatchesReferenceEngine:
         for prob in self.problems(86, [gf8, gf16]):
             self.assert_same(solve, reference_koetter.solve, prob.field, prob)
             try:
-                _, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
             self.assert_same(solve_reduced, reference_koetter.solve_reduced, prob.field, ctx)
@@ -413,7 +413,7 @@ class TestMatchesReferenceEngine:
         # a point's schedule through update_basis must still be charged all of it
         def points_of(prob):
             try:
-                _, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 return
             polys = [BiPoly(prob.field, [UniPoly.zero(prob.field)] * j + [ctx.tails[j]]) for j in range(ctx.r + 1)]
@@ -500,7 +500,7 @@ class TestHasseTable:
         doubled = t_star_mult_3 = 0
         for prob in self.problems(92, [gf8, gf16]):
             try:
-                _, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
             checked["doubled"] = 0

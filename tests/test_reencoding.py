@@ -89,7 +89,7 @@ class TestBuildContext:
         a = gf8.from_exponent
         rset = select_reencoding_set(worked_problem)
         remaining = [p for i, p in enumerate(worked_problem.points) if i not in rset.indices]
-        ctx = build_context(rset, 3, remaining)
+        ctx = build_context(rset, remaining, 9, 3, 3)  # the worked problem's N, delta* and r
         assert ctx.tails[0] == UniPoly.one(gf8)
         assert ctx.tails[1] == UniPoly.one(gf8)
         assert ctx.tails[2].to_text() == "a^2 + X"
@@ -105,22 +105,22 @@ class TestBuildContext:
         pts = [InterpolationPoint(1, 3, 3), InterpolationPoint(2, 5, 3)]
         prob = InterpolationProblem(gf8, pts, 2)
         rset = select_reencoding_set(prob)
-        ctx = build_context(rset, 2, [])
+        ctx = build_context(rset, [], 12, 4, 2)  # N = 12 and delta* = 4, at r = 2 instead of 4
         assert all(t == UniPoly.one(gf8) for t in ctx.tails)
 
     def test_empty_remaining(self, gf8, worked_problem):
         rset = select_reencoding_set(worked_problem)
-        ctx = build_context(rset, 3, [])
+        ctx = build_context(rset, [], 9, 3, 3)
         assert ctx.s_star == [] and ctx.t_star == []
 
 
 class TestSolveReduced:
     def test_worked_problemc_output(self, gf8, worked_problem):
-        _, ctx, _, _ = prepare_reduced(worked_problem)
+        ctx = prepare_reduced(worked_problem)
         assert solve_reduced(ctx).minimal.to_text() == gt.H_REDUCED
 
     def test_worked_problemc_trace(self, gf8, worked_problem):
-        _, ctx, _, _ = prepare_reduced(worked_problem)
+        ctx = prepare_reduced(worked_problem)
         trace = solve_reduced(ctx, collect_trace=True).trace
         assert len(trace) == 5
         for i, (x, y, m, rows) in enumerate(gt.TABLE_REDUCED):
@@ -129,7 +129,7 @@ class TestSolveReduced:
             assert [j for j, _ in trace[i].basis] == [j for j, _ in rows], f"row {i + 1} order"
 
     def test_first_row_pins_g1(self, gf8, worked_problem):
-        _, ctx, _, _ = prepare_reduced(worked_problem)
+        ctx = prepare_reduced(worked_problem)
         state = dict((j, p) for j, p in solve_reduced(ctx, collect_trace=True).trace[0].basis)
         assert state[1].to_text() == "(a^3 + X)*Y"
 
@@ -139,7 +139,7 @@ class TestSolveReduced:
         # yields f = e.
         pts = [InterpolationPoint(1, 3, 1), InterpolationPoint(2, 5, 1)]
         prob = InterpolationProblem(gf8, pts, 2)
-        _, ctx, _, _ = prepare_reduced(prob)
+        ctx = prepare_reduced(prob)
         res = solve_reduced(ctx)
         assert res.minimal == BiPoly.y_power(gf8, 1)
         assert res.n_constraints == 0
@@ -149,19 +149,19 @@ class TestSolveReduced:
         rng = random.Random(55)
         for _ in range(15):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
-            _, ctx, _, _ = prepare_reduced(prob)
+            ctx = prepare_reduced(prob)
             check_tail_divisibility(solve_reduced(ctx).basis, ctx)
             validate_basis(solve_reduced(ctx).basis)
         for _ in range(40):
             prob, _ = random_repeated_x_problem(rng, [gf8, gf16])
-            _, ctx, _, _ = prepare_reduced(prob)
+            ctx = prepare_reduced(prob)
             check_tail_divisibility(solve_reduced(ctx).basis, ctx)
             validate_basis(solve_reduced(ctx).basis)
 
     def test_reduced_constraint_count(self, gf8, worked_problem):
-        rset, ctx, n_orig, _ = prepare_reduced(worked_problem)
-        removed = sum(p.mult * (p.mult + 1) // 2 for p in rset.points)
-        assert solve_reduced(ctx).n_constraints == n_orig - removed == 5
+        ctx = prepare_reduced(worked_problem)
+        removed = sum(p.mult * (p.mult + 1) // 2 for p in ctx.rset.points)
+        assert solve_reduced(ctx).n_constraints == ctx.n_constraints - removed == 5
 
 
 class TestEquivalences:
@@ -184,8 +184,8 @@ class TestEquivalences:
             assert sub_y_shift(solve(shifted).minimal, rset.e_poly) == solve(prob).minimal
 
     def test_reconstruction_equivalence_on_example(self, gf8, worked_problem):
-        rset, ctx, _, _ = prepare_reduced(worked_problem)
-        q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, rset.e_poly)
+        ctx = prepare_reduced(worked_problem)
+        q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
         assert q == solve(worked_problem).minimal
 
     def test_reconstruction_equivalence_random(self, gf8, gf16):
@@ -193,10 +193,10 @@ class TestEquivalences:
         for _ in range(20):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             try:
-                rset, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
-            q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, rset.e_poly)
+            q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
             direct = solve(prob).minimal
             for pt in prob.points:
                 assert multiplicity_at(q, pt.x, pt.y) >= pt.mult
@@ -208,7 +208,7 @@ class TestEquivalences:
         for _ in range(20):
             prob, _ = random_planted_problem(rng, [gf8, gf16])
             try:
-                _, ctx, _, _ = prepare_reduced(prob)
+                ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
             h = solve_reduced(ctx).minimal
