@@ -334,10 +334,13 @@ def error_values(
     return out, ACCEPTED
 
 
-def corrected_message(ctx: ReducedContext, locations: list[int], errors: dict[int, int]) -> UniPoly:
-    """Interpolate the k corrected re-encoding values into the message polynomial."""
-    loc = set(locations)
-    pts = [(p.x, p.y ^ errors[i] if i in loc else p.y) for i, p in enumerate(ctx.rset.points)]
+def corrected_message(ctx: ReducedContext, errors: dict[int, int]) -> UniPoly:
+    """Interpolate the k corrected re-encoding values into the message polynomial.
+
+    `errors` maps each error position, an index into the re-encoding
+    points, to its error value, as `error_values` returns them.
+    """
+    pts = [(p.x, p.y ^ errors.get(i, 0)) for i, p in enumerate(ctx.rset.points)]
     return lagrange_interpolate(ctx.g.field, pts)
 
 
@@ -389,7 +392,7 @@ def factor_reduced(h: BiPoly, ctx: ReducedContext, tau: int, verify: bool = Fals
         if errors is None:
             continue
         cand.error_values = errors
-        cand.f = corrected_message(ctx, locations, errors)
+        cand.f = corrected_message(ctx, errors)
         if verify and not is_y_root(h, pair.sigma, pair.omega):
             cand.status = REJECTED_BY_VERIFICATION
     return out

@@ -49,7 +49,9 @@ class Field:
     log of a != 0 and `log[0]` is the sentinel `zero_log` = 2(q-1); `exp`
     has 4(q-1)+1 entries, alpha^i at i and at i + (q-1) for i < q-1, and 0
     from index `zero_log` on. A product is `exp[log[a] + log[b]]`, and any
-    sum that involves a zero operand lands in the zero tail. `elements`
+    sum that involves a zero operand lands in the zero tail. `log_tuple`
+    holds `log` as Python ints, for scalar lookups in Python loops, where
+    indexing the array would build a numpy scalar each time. `elements`
     lists the field in the order 0, 1, alpha, ..., alpha^(q-2). `vmul(a, b)`
     takes an array `a` and either an array of the same shape or one element
     `b`.
@@ -102,6 +104,7 @@ class Field:
         exp[q - 1 : zero_log] = exp[: q - 1]
         self.exp = exp
         self.log = log
+        self.log_tuple = tuple(log.tolist())
         self.elements = np.concatenate(([0], exp[: q - 1])).astype(np.int32)
         for table in (self.exp, self.log, self.elements):
             table.setflags(write=False)

@@ -32,6 +32,12 @@ checks once per point. The solve result keeps the tensor as its basis,
 and BiPolys are built from it only when a trace row, the minimal
 polynomial or a reader of `BasisTensor.polys` asks for them.
 
+The masks and index arrays of a table build depend only on the point's
+class, (r + 1, mult, orders, v, y == 0), and those of its charges only on
+its constraint schedule, so `point_plan`, `schedule_plan` and `odd_table`
+build each once and keep it in a bounded `functools.lru_cache`, shared by
+every point, decode and thread of the process. Their arrays are read-only.
+
 Counts are charged analytically from the row lengths, and they are exactly
 what the dense per-polynomial loop would charge under the convention in
 `galois.Field`'s docstring. That loop takes each discrepancy term by term:
@@ -50,6 +56,8 @@ engine to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,6 +214,71 @@ class BasisTensor:
         return sorted(range(len(self.leadings)), key=lambda j: self.order.key(*self.leadings[j]))
 
 
+PLAN_CACHE_SIZE = 64  # entries per plan cache below; one decode uses a few
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class PointPlan(NamedTuple):
+    """The index arrays `ConstraintPoint.build` takes from a point's class, read-only and shared.
+
+    The class is (r + 1, mult, orders, v, y == 0): nothing here depends on
+    the point's x, its y != 0 or the basis.
+    """
+
+    superset: np.ndarray  # [s, m]: m & s == s, for s < orders and m below the fold period
+    neg_orders: np.ndarray  # [s]: -s, the power of x that H[j, l, s] takes
+    gather: np.ndarray  # [a, l]: l * orders + max(o, 0) for the order o that row l reads for a
+    lift: np.ndarray  # [b, l]: l - b, the power of y on row l
+    keep: np.ndarray  # [a, b, l]: the rows l that sum into D[j, a, b]
+    check: np.ndarray | None  # [l, s]: s < l - v at a T* point, the derivatives that must vanish
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def point_plan(n: int, mult: int, orders: int, v: int | None, y_zero: bool) -> PointPlan:
+    """The `PointPlan` of the class (n = r + 1, mult, orders, v, y == 0)."""
+    s, m = np.arange(orders), np.arange(1 << (orders - 1).bit_length())
+    rows, ab = np.arange(n), np.arange(mult)[:, None]
+    order = ab + 0 * rows if v is None else ab - v + rows  # [a, l]
+    keep = rows == ab if y_zero else (rows >= ab) & ((rows & ab) == ab)  # [b, l]
+    return PointPlan(
+        _frozen((m & s[:, None]) == s[:, None]),
+        _frozen(-s),
+        _frozen(rows * orders + np.maximum(order, 0)),
+        _frozen(rows - ab),
+        _frozen(keep & (order >= 0)[:, None, :]),
+        None if v is None else _frozen(s < rows[:, None] - v),
+    )
+
+
+class SchedulePlan(NamedTuple):
+    """The arrays `ConstraintPoint.charge` takes from a constraint schedule, read-only and shared."""
+
+    a: np.ndarray  # [c]: constraint c's a
+    b: np.ndarray  # [c, 1]: constraint c's b
+    rows: np.ndarray  # [c, 1, l]: l >= b and C(l, b) odd
+    a_max: int
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def schedule_plan(a: tuple[int, ...], b: tuple[int, ...], n: int) -> SchedulePlan:
+    """The `SchedulePlan` of the constraints (a[c], b[c]) on a basis of n = r + 1 polynomials."""
+    ell, bs = np.arange(n), np.array(b)[:, None]
+    rows = (ell >= bs) & ((ell & bs) == bs)
+    return SchedulePlan(_frozen(np.array(a)), _frozen(bs), _frozen(rows[:, None, :]), max(a))
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def odd_table(a_max: int, width: int) -> np.ndarray:
+    """odd[a, m] = #{i < m : C(i, a) odd} for a <= a_max and m < width, read-only and shared."""
+    avals = np.arange(a_max + 1)[:, None]
+    odd = np.cumsum((np.arange(width - 1) & avals) == avals, axis=1)
+    return _frozen(np.concatenate((np.zeros_like(avals), odd), axis=1))
+
+
 class ConstraintPoint:
     """One point's data for its constraints: its discrepancy table and its pending charges.
 
@@ -226,9 +299,11 @@ class ConstraintPoint:
     i <= max(v, r - v, 1), built one linear factor at a time. Each
     constraint's (a, b) and row lengths wait in `pending`, and `charge`
     takes them all at once when the point's last constraint is imposed.
+    A point keeps no index array of its own: `build` and `charge` read
+    theirs from the shared plans of its class and of its schedule.
     """
 
-    __slots__ = ("x", "y", "v", "mult", "orders", "table", "check", "pending")
+    __slots__ = ("x", "y", "v", "mult", "orders", "table", "pending")
 
     def __init__(self, f: Field, pt: InterpolationPoint, r: int, v: int | None = None) -> None:
         self.x, self.y, self.v, self.mult = pt.x, pt.y, v, pt.mult
@@ -239,13 +314,10 @@ class ConstraintPoint:
             ctr.multiplications += r
         if v is None:
             self.orders = pt.mult
-            self.check = None
         else:
             top = max(v, r - v, 1)
             ctr.multiplications += top * (top + 1) // 2
             self.orders = max(pt.mult + r - v, r - v, 1)
-            # (row l, order s) with s < l - v: the derivatives that must vanish
-            self.check = np.arange(self.orders) < np.arange(r + 1)[:, None] - v
 
     def build(self, f: Field, coeffs: np.ndarray, sizes: np.ndarray) -> None:
         """Fill the discrepancy table from the basis, through the point's Hasse table.
@@ -266,46 +338,44 @@ class ConstraintPoint:
         InexactDivision is raised. Then D[j, a, b] is the XOR over
         the rows l >= b with C(l, b) odd of y^(l - b) H[j, l, o], where o is
         a, or a - v + l if that is >= 0 at a T* point; at y = 0 only l = b
-        counts.
+        counts. Every mask and index array of these steps, and the T*
+        check's, comes from the point's class through `point_plan`; only
+        the logs of x and y and the box are the point's own.
         """
         n, width = len(coeffs), int(sizes.max())
+        plan = point_plan(n, self.mult, self.orders, self.v, self.y == 0)
+        log, exp, qm = f.log, f.exp, f.q - 1
         if self.x == 0:
             hasse = np.zeros((n, n, self.orders), dtype=np.int32)
             top = min(self.orders, coeffs.shape[2])
             hasse[..., :top] = coeffs[..., :top]
         else:
-            period = 1 << (self.orders - 1).bit_length()
+            period = plan.superset.shape[1]
             span = -(-width // period) * period
             box = coeffs[..., :span]
             if box.shape[2] < span:
                 box = np.pad(box, ((0, 0), (0, 0), (0, span - box.shape[2])))
-            lx, qm = int(f.log[self.x]), f.q - 1
-            weights = (np.arange(span) * lx % qm).astype(np.int32)
+            lx = f.log_tuple[self.x]
+            weights = np.arange(span) * lx % qm
             folded = np.empty((n, n, period), dtype=np.int32)
             step = max(GATHER_BLOCK // (n * span), 1)
             for j in range(0, n, step):
-                logs = np.take(f.log, box[j : j + step])
-                logs += weights
-                terms = np.take(f.exp, logs).reshape(len(logs), n, span // period, period)
-                folded[j : j + step] = np.bitwise_xor.reduce(terms, axis=2)
-            s, m = np.arange(self.orders)[:, None], np.arange(period)
-            sums = np.bitwise_xor.reduce(folded[:, :, None, :] * ((m & s) == s), axis=3)  # [j, l, s]
-            hasse = np.take(f.exp, np.take(f.log, sums) + (-s[:, 0] * lx % qm).astype(np.int32))
-        rows, ab = np.arange(n), np.arange(self.mult)[:, None]
-        if self.check is not None:
-            bad = np.argwhere((hasse != 0) & self.check)
+                terms = exp.take(log.take(box[j : j + step]) + weights)
+                folded[j : j + step] = np.bitwise_xor.reduce(terms.reshape(-1, n, span // period, period), axis=2)
+            sums = np.bitwise_xor.reduce(folded[:, :, None, :] * plan.superset, axis=3)  # [j, l, s]
+            hasse = exp.take(log.take(sums) + plan.neg_orders * lx % qm)
+        if plan.check is not None:
+            bad = np.argwhere((hasse != 0) & plan.check)
             if bad.size:
                 # the per-polynomial loop got through G_0 .. G_{j-1} and G_j's rows up to l
                 j, l, _ = bad[0]
-                self.charge(f, [(0, 0, np.where(rows[:, None] < j, sizes, 0))])
+                self.charge(f, [(0, 0, np.where(np.arange(n)[:, None] < j, sizes, 0))])
                 f.counter.multiplications += int(self.transformed(sizes[j, : l + 1])[1].sum())
                 raise InexactDivision(f"row Y^{l} of G{j} not divisible by (X + {self.x})^{l - self.v}")
-        order = ab + 0 * rows if self.v is None else ab - self.v + rows  # [a, l]
-        keep = rows == ab if self.y == 0 else (rows >= ab) & ((rows & ab) == ab)  # [b, l]
-        ly = int(f.log[self.y]) if self.y else 0
-        logs = np.take(f.log, hasse[:, rows, np.maximum(order, 0)])[:, :, None, :]
-        terms = np.take(f.exp, logs + ((rows - ab) * ly % (f.q - 1)).astype(np.int32))
-        terms *= keep & (order >= 0)[:, None, :]
+        logs = log.take(hasse.reshape(n, -1).take(plan.gather, axis=1))[:, :, None, :]  # [j, a, 1, l]
+        if self.y:
+            logs = logs + plan.lift * f.log_tuple[self.y] % qm
+        terms = exp.take(logs) * plan.keep
         self.table = np.bitwise_xor.reduce(terms, axis=3)
 
     def transformed(self, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,27 +403,30 @@ class ConstraintPoint:
         charges, at y = 0, the y-powers up to its Y-degree minus b, and on
         each row l >= b with C(l, b) odd, two multiplications and one fewer
         addition per slot i >= a with C(i, a) odd, counted from one prefix
-        table of those slots.
+        table of those slots, `odd_table`, shared by every point whose
+        largest a and power-of-2 width of the row lengths are the same. The
+        a's, b's and row masks come from the schedule's `schedule_plan`, and
+        the Y-degrees are found only where they are charged: at T* and at
+        y = 0 points.
         """
-        a, b, sizes = (np.array(z) for z in zip(*pending))
-        a, b = a[:, None], b[:, None]
-        n = sizes.shape[-1]
-        ell = np.arange(n)
-        nonzero = sizes > 0
-        ydeg = np.where(nonzero.any(2), n - 1 - nonzero[..., ::-1].argmax(2), -1)
-        has = ydeg >= b
+        a, b, sizes = zip(*pending)
+        plan = schedule_plan(a, b, len(sizes[0]))
+        sizes = np.array(sizes)
+        if self.v is not None or self.y == 0:
+            n = sizes.shape[-1]
+            nonzero = sizes > 0
+            ydeg = np.where(nonzero.any(2), n - 1 - nonzero[..., ::-1].argmax(2), -1)
+            has = ydeg >= plan.b
         if self.v is None:
             lengths = sizes
-            mults = max(int((sizes.max((1, 2)) - 1 - a[:, 0]).max()), 0)
+            mults = max(int((sizes.max((1, 2)) - 1 - plan.a).max()), 0)
         else:
             lengths, cost = self.transformed(sizes)
-            mults = int(cost.sum()) + int(np.maximum(lengths.max(2) - 1 - a, 0)[has].sum())
+            mults = int(cost.sum()) + int(np.maximum(lengths.max(2) - 1 - plan.a[:, None], 0)[has].sum())
         if self.y == 0:
-            mults += int((ydeg - b)[has].sum())
-        avals = np.arange(int(a.max()) + 1)[:, None]
-        odd = np.cumsum((np.arange(int(lengths.max())) & avals) == avals, axis=1)
-        odd = np.concatenate((np.zeros_like(avals), odd), axis=1)  # odd[a, m] = #{i < m : C(i, a) odd}
-        terms = odd[a[:, :, None], lengths] * ((ell >= b) & ((ell & b) == b))[:, None, :]
+            mults += int((ydeg - plan.b)[has].sum())
+        odd = odd_table(plan.a_max, 1 << int(lengths.max()).bit_length())
+        terms = odd[plan.a[:, None, None], lengths] * plan.rows
         total = int(terms.sum())
         ctr = f.counter
         ctr.multiplications += mults + 2 * total
@@ -385,10 +458,11 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
 
     The column and the row lengths are read once into Python lists, and
     the pivot, the charges and the new lengths are worked out from them;
-    numpy touches only the coefficient box and the table. A row of an
-    other keeps the longer of the two lengths, unless both had the same
-    one: then the sum may have cancelled, and only that row is re-read
-    to trim it.
+    numpy touches only the coefficient box and the table; the ratios'
+    logs are read from `Field.log_tuple`. A row of an other keeps the
+    longer of the two lengths, unless both had the same one: then the sum
+    may have cancelled, so its top coefficient is read, and only if that
+    is zero is the row re-read to trim it.
     """
     f = basis.field
     coeffs, sizes = basis.coeffs, basis.sizes
@@ -415,10 +489,10 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
         lt -= 1
     ctr = f.counter
     ctr.multiplications += len(others) * (1 + pivot_size) + pivot_size
-    log, exp, qm = f.log, f.exp, f.q - 1
-    logt = np.take(log, coeffs[t, :lt, :wt])
+    log, exp, qm, scalar_log = f.log, f.exp, f.q - 1, f.log_tuple
+    logt = log.take(coeffs[t, :lt, :wt])
     if others:
-        overlap, trims = 0, []  # trims: the (j, l) whose equal-length sum may have cancelled
+        overlap, trims = 0, []  # trims: the (j, l, length) whose equal-length sum may have cancelled
         for j in others:
             row = sl[j]
             for l in range(lt):
@@ -427,26 +501,27 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
                 if s < p:
                     row[l] = p
                 elif s == p and s:
-                    trims.append((j, l))
+                    trims.append((j, l, s))
         ctr.additions += overlap
-        logd = np.take(log, table[t])
-        lmin = int(log[deltas[t]])
-        ratios = np.array([(int(log[deltas[j]]) - lmin) % qm for j in others], dtype=logt.dtype).reshape(-1, 1, 1)
+        logd = log.take(table[t])
+        lmin = scalar_log[deltas[t]]
+        ratios = np.array([(scalar_log[deltas[j]] - lmin) % qm for j in others], dtype=logt.dtype).reshape(-1, 1, 1)
         rows = np.array(others)
         step = max(GATHER_BLOCK // (lt * wt), 1)
         for i in range(0, len(others), step):
             js, rs = rows[i : i + step], ratios[i : i + step]
-            coeffs[js, :lt, :wt] ^= np.take(exp, logt + rs)
-            table[js] ^= np.take(exp, logd + rs)
+            coeffs[js, :lt, :wt] ^= exp.take(logt + rs)
+            table[js] ^= exp.take(logd + rs)
         sizes[rows] = [sl[j] for j in others]
-        if trims:
-            js, ls = zip(*trims)
+        cancelled = [(j, l) for j, l, s in trims if not coeffs[j, l, s - 1]]
+        if cancelled:
+            js, ls = zip(*cancelled)
             nonzero = coeffs[js, ls, :wt] != 0
             sizes[js, ls] = np.where(nonzero.any(1), wt - nonzero[:, ::-1].argmax(1), 0)
     if wt == coeffs.shape[2]:
         coeffs = basis.coeffs = np.concatenate((coeffs, np.zeros_like(coeffs)), axis=2)
     box = coeffs[t, :lt]
-    shifted = np.take(exp, logt + log[point.x])  # x * pivot, to which X * pivot is added
+    shifted = exp.take(logt + scalar_log[point.x])  # x * pivot, to which X * pivot is added
     shifted[:, 1:] ^= box[:, : wt - 1]
     box[:, wt] = box[:, wt - 1]
     box[:, :wt] = shifted

@@ -425,16 +425,16 @@ class TestErrorValues:
 class TestCorrectedMessage:
     def test_worked_problemd_with_error(self, gf8, worked_ctx):
         a = gf8.from_exponent
-        f2 = corrected_message(worked_ctx, [1], {1: a(4)})
+        f2 = corrected_message(worked_ctx, {1: a(4)})
         assert f2.to_json() == [a(6), a(2)]
 
     def test_no_errors_returns_e(self, gf8, worked_ctx):
-        f1 = corrected_message(worked_ctx, [], {})
+        f1 = corrected_message(worked_ctx, {})
         assert f1 == worked_ctx.rset.e_poly
 
     def test_all_zero_values(self, gf8):
         pts = [InterpolationPoint(1, 0, 1), InterpolationPoint(2, 0, 1)]
-        assert corrected_message(make_ctx(gf8, pts), [], {}).is_zero
+        assert corrected_message(make_ctx(gf8, pts), {}).is_zero
 
 
 class TestFactorReduced:

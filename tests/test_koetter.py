@@ -1,12 +1,15 @@
 import copy
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rslist import koetter
+from rslist.decoder import decode_direct, decode_reduced
 from rslist.galois import Field, OpCounter
 from rslist.koetter import (
     MIN_WIDTH,
@@ -547,3 +550,114 @@ class TestHasseTable:
             ragged += width % period != 0
             past_capacity += -(-width // period) * period > basis.coeffs.shape[2]
         assert periods == {8, 16} and ragged >= 10 and past_capacity >= 3
+
+
+def mixed_class_problem(f, k, seed):
+    """A planted instance whose points span many point classes.
+
+    Multiplicities 1 to 7 each sit on their own nonzero x at the planted
+    message's value, and x = 0 carries one more point. The x's of the k
+    highest multiplicities, the re-encoding set, carry a second point each,
+    of multiplicity 1 or 2; the first of them is at y = 0 (or 1 where the
+    message is 0 there). So the direct path meets x = 0 and y = 0 points,
+    and the reduced path T* points and, at the planted values, y = 0 ones.
+    """
+    rng = random.Random(seed)
+    fpoly = UniPoly(f, [rng.randrange(f.q) for _ in range(k)])
+    xs = rng.sample(f.all_elements()[1:], 7)
+    points = [InterpolationPoint(0, fpoly.eval_at(0), rng.randint(1, 3))]
+    points += [InterpolationPoint(x, fpoly.eval_at(x), m) for m, x in enumerate(xs, 1)]
+    for i, x in enumerate(xs[-k:]):
+        truth = fpoly.eval_at(x)
+        y = (0 if truth else 1) if i == 0 else rng.choice([y for y in range(f.q) if y != truth])
+        points.append(InterpolationPoint(x, y, rng.randint(1, 2)))
+    return InterpolationProblem(f, points, k)
+
+
+PLAN_CACHES = (koetter.point_plan, koetter.schedule_plan, koetter.odd_table)
+
+
+def decode_signature(problem):
+    """Both paths' candidates and phase counters."""
+    out = []
+    for report in (decode_direct(problem), decode_reduced(problem, tau=problem.k, verify=True)):
+        cands = [(c.status, None if c.f is None else c.f.to_json(), c.error_positions) for c in report.candidates]
+        out.append((report.path, cands, report.counters))
+    return out
+
+
+class TestPlanCaches:
+    """The plans that `ConstraintPoint` reads are shared across points, decodes and threads."""
+
+    def recorded_plans(self, monkeypatch):
+        """Wrap the plan caches so that each returns its result into a list as well."""
+        seen = []
+        for cache in PLAN_CACHES:
+
+            def recorded(*key, cache=cache):
+                plan = cache(*key)
+                seen.append((cache.__name__, key, plan))
+                return plan
+
+            monkeypatch.setattr(koetter, cache.__name__, recorded)
+        return seen
+
+    def test_threads_share_plans_and_decode_as_one_thread(self, gf16):
+        problems = [mixed_class_problem(gf16, k, seed) for seed, k in enumerate((2, 3, 3, 4))]
+        for prob in problems:
+            assert {p.mult for p in prob.points} >= set(range(1, 8))
+            assert any(p.x == 0 for p in prob.points) and any(p.y == 0 for p in prob.points)
+            ctx = prepare_reduced(prob)
+            assert len(ctx.t_star) == prob.k and any(p.y == 0 for p in ctx.s_star + ctx.t_star)
+        want = [decode_signature(p) for p in problems]
+        for cache in PLAN_CACHES:
+            cache.cache_clear()
+        start = threading.Barrier(len(problems))
+        got = [[] for _ in problems]
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(2):
+                got[i].append(decode_signature(problems[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(problems))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for mine, theirs in zip(got, want):
+            assert mine == [theirs, theirs]
+
+    def test_plans_are_read_only(self, gf16, monkeypatch):
+        seen = self.recorded_plans(monkeypatch)
+        for k in (2, 3):
+            decode_signature(mixed_class_problem(gf16, k, seed=10 + k))
+        names = {name for name, _, _ in seen}
+        assert names == {cache.__name__ for cache in PLAN_CACHES}
+        arrays = 0
+        for _, _, plan in seen:
+            for value in plan if isinstance(plan, tuple) else [plan]:
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable
+                    arrays += 1
+        assert arrays > len(seen)
+
+    def test_eviction_keeps_the_bound_and_the_outputs(self, gf16, monkeypatch):
+        problems = [mixed_class_problem(gf16, k, seed=20 + k) for k in range(2, 8)]
+        for cache in PLAN_CACHES:
+            cache.cache_clear()
+        first = decode_signature(problems[0])
+        seen = self.recorded_plans(monkeypatch)
+        passes = [[decode_signature(p) for p in problems] for _ in range(2)]
+        classes = {key for name, key, _ in seen if name == "point_plan"}
+        assert len(classes) > koetter.PLAN_CACHE_SIZE
+        for cache in PLAN_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == koetter.PLAN_CACHE_SIZE and info.currsize <= info.maxsize
+        assert passes[0] == passes[1] and passes[0][0] == first
