@@ -18,7 +18,7 @@ from .galois import GF8_POLY, Field
 from .koetter import InterpolationPoint, InterpolationProblem, format_trace_row, n_constraints
 from .polynomials import UniPoly
 from .reencoding import TooManyErasures
-from .rs_codec import CodeSpec, encode, json_int
+from .rs_codec import CodeSpec, encode, json_int, json_key
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -36,24 +36,22 @@ def load_code(path: str) -> CodeSpec:
 
 
 def load_problem(path: str) -> tuple[InterpolationProblem, CodeSpec, int | None]:
-    """Read a problem file; any malformed shape or value raises ValueError or KeyError."""
+    """Read a problem file; any missing key or malformed shape or value raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"problem must be a JSON object, got {type(obj).__name__}")
-    code = CodeSpec.from_json(obj["code"])
-    f = code.field
-    if not isinstance(obj["points"], list) or not all(isinstance(p, dict) for p in obj["points"]):
+    code = CodeSpec.from_json(json_key(obj, "code"))
+    f, points = code.field, json_key(obj, "points")
+    if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
         raise ValueError("points must be a list of JSON objects")
     points = [
         InterpolationPoint(
-            f.parse_element(p["x"]), f.parse_element(p["y"]), json_int(p.get("mult", 1), "mult")
+            f.parse_element(json_key(p, "x")), f.parse_element(json_key(p, "y")), json_int(p.get("mult", 1), "mult")
         )
-        for p in obj["points"]
+        for p in points
     ]
-    tau = obj.get("tau")
-    if tau is not None:
-        tau = json_int(tau, "tau")
+    tau = None if obj.get("tau") is None else json_int(obj["tau"], "tau")
     return InterpolationProblem(f, points, code.k), code, tau
 
 
@@ -169,24 +167,15 @@ def cmd_selftest(args) -> int:
     f = problem.field
     a = f.from_exponent
     expected = {(a(5), a(6)), (a(6), a(2))}
-    failures = 0
-
-    direct = decode_direct(problem)
-    got = {tuple(c.f.to_json()) for c in direct.accepted()}
-    ok = got == expected
-    failures += not ok
-    print(f"direct path candidates: {'ok' if ok else 'FAIL'}")
-
-    reduced = decode_reduced(problem, tau=4)
-    got = {tuple(c.f.to_json()) for c in reduced.accepted()}
-    ok = got == expected
-    failures += not ok
-    print(f"reduced path candidates: {'ok' if ok else 'FAIL'}")
-
-    ok = reduced.reduced_constraints == 5 and direct.n_constraints == 9
-    failures += not ok
-    print(f"constraint counts (9 -> 5): {'ok' if ok else 'FAIL'}")
-
+    direct, reduced = decode_direct(problem), decode_reduced(problem, tau=4)
+    checks = {
+        "direct path candidates": direct.accepted_set() == expected,
+        "reduced path candidates": reduced.accepted_set() == expected,
+        "constraint counts (9 -> 5)": reduced.reduced_constraints == 5 and direct.n_constraints == 9,
+    }
+    for name, ok in checks.items():
+        print(f"{name}: {'ok' if ok else 'FAIL'}")
+    failures = sum(not ok for ok in checks.values())
     print("selftest:", "ok" if failures == 0 else f"{failures} failures")
     return EXIT_OK if failures == 0 else 1
 

@@ -338,10 +338,10 @@ def corrected_message(ctx: ReducedContext, errors: dict[int, int]) -> UniPoly:
     """Interpolate the k corrected re-encoding values into the message polynomial.
 
     `errors` maps each error position, an index into the re-encoding
-    points, to its error value, as `error_values` returns them.
+    points, to its error value, as `error_values` returns them; g is the master.
     """
     pts = [(p.x, p.y ^ errors.get(i, 0)) for i, p in enumerate(ctx.rset.points)]
-    return lagrange_interpolate(ctx.g.field, pts)
+    return lagrange_interpolate(ctx.g, pts)
 
 
 def is_y_root(h: BiPoly, sigma: UniPoly, omega: UniPoly) -> bool:

@@ -64,9 +64,9 @@ class Field:
     charges N(N+1)/2 multiplications and no additions for N linear factors,
     as the chain of N multiplications by X + x_i from 1 does,
     `UniPoly.eval_many` charges n - 1 per point for n coefficients, as
-    Horner's rule does, and `UniPoly.mul` charges the product of its
-    factors' lengths, as scaling one factor per coefficient of the other
-    does.
+    Horner's rule does, `UniPoly.mul` charges the product of its factors'
+    lengths, as scaling one factor per coefficient of the other does, and
+    `lagrange_interpolate` the k(k+1)/2 of a master it is passed.
 
     A Field holds only these tables and its parameters, all immutable after
     construction, so threads and asyncio tasks may share one. Counts go to

@@ -399,49 +399,50 @@ def root_product(field: Field, xs, exps) -> UniPoly:
 LAGRANGE_BLOCK = 256  # points per batched pass: the temporaries stay O(256 k)
 
 
-def lagrange_interpolate(field: Field, points) -> UniPoly:
+def lagrange_interpolate(master: UniPoly, points) -> UniPoly:
     """The unique polynomial of degree < k = len(points) through the given points.
 
-    With the master m = prod_j (X + x_j), it is the sum over the points with
-    y_i != 0 of c_i m / (X + x_i), for c_i = y_i / m'(x_i): in characteristic
-    2 the quotient's value at x_i is m'(x_i). Synthetic division gives the
-    quotient's coefficient j as sum_s m[j+1+s] x_i^s, so with the power sums
-    P[s] = sum_i c_i x_i^s the result is f[j] = sum_s m[j+1+s] P[s], m's
-    Hankel matrix times P. That is the top half of the product of m with P
-    reversed, taken directly, one gather and XOR per block of about
-    GATHER_BLOCK entries, without the bottom half that `dense_products`
-    would also compute.
+    With the caller's master m = prod_j (X + x_j), of degree k or ValueError,
+    it is the sum over the points with y_i != 0 of c_i m / (X + x_i), for
+    c_i = y_i / m'(x_i): in characteristic 2 the quotient's value at x_i is
+    m'(x_i). Synthetic division gives the quotient's coefficient j as
+    sum_s m[j+1+s] x_i^s, so with the power sums P[s] = sum_i c_i x_i^s the
+    result is f[j] = sum_s m[j+1+s] P[s], m's Hankel matrix times P. That is
+    the top half of the product of m with P reversed, taken directly, one
+    gather and XOR per block of about GATHER_BLOCK entries, without the
+    bottom half that `dense_products` would also compute.
 
     The points go in blocks of LAGRANGE_BLOCK, and one table of the logs of
-    x_i^s for s <= k (`_power_logs`) serves a whole block. With E the even
-    part of m, E(x_i) and m'(x_i) are one gather and XOR each at the even
-    powers, and m(x_i) = E(x_i) + x_i m'(x_i) must be 0, or InexactDivision
-    is raised, as the division's remainder would be. The terms c_i x_i^s are
-    one more gather, and their XOR accumulate down the points, carried
+    x_i^s for s <= k (`_power_logs`) serves a whole block. With E the even part
+    of m, E(x_i) and m'(x_i) are one gather and XOR each at the even powers, and
+    m(x_i) = E(x_i) + x_i m'(x_i) must be 0, or InexactDivision is raised, as
+    the remainder of a division by a wrong master would be. The terms c_i x_i^s
+    are one more gather, and their XOR accumulate down the points, carried
     across blocks, gives the power sums P_p after each point p in turn.
 
     The counts are closed forms of what the dense per-point loop (long
     division of the master by X + x_i, Horner's rule at x_i, the division
     of y_i, the scaling, then acc + term) charges. Per point with y_i != 0,
     5k multiplications: 3k for the division, k - 1 for Horner, 1 for y_i's
-    division and k for the scaling. The master is one `root_product` call,
-    which charges k(k+1)/2. Each point charges as additions the trimmed
-    size of the running sum before it. After point p that sum has size k -
-    t_p, for t_p the least s with P_p[s] != 0, or 0 if there is none: m is
-    monic, so its coefficient k - 1 - t is P_p[t] plus multiples of the
-    P_p[s], s < t.
+    division and k for the scaling. The dense loop's master, k multiplications
+    by X + x_i, is charged k(k+1)/2 here, though passed in. Each point charges
+    as additions the trimmed size of the running sum before it. After point p
+    that sum has size k - t_p, for t_p the least s with P_p[s] != 0, or 0 if
+    there is none: m is monic, so its coefficient k - 1 - t is P_p[t] plus
+    multiples of the P_p[s], s < t.
     """
     pts = np.array(list(points), dtype=np.int32).reshape(-1, 2)
     if not pts.size:
         raise ValueError("need at least one point")
-    k, f = len(pts), field
-    xs = pts[:, 0]
-    ordered = np.sort(xs)
+    k, f = len(pts), master.field
+    if master.degree != k:
+        raise ValueError(f"master of degree {master.degree} for {k} points")
+    ordered = np.sort(pts[:, 0])
     if (ordered[1:] == ordered[:-1]).any():
         raise DuplicateAbscissa("x-coordinates must be distinct")
     live = pts[pts[:, 1] != 0]
-    f.counter.multiplications += 5 * k * len(live)
-    m = root_product(f, xs, np.ones(k, dtype=np.int64)).coeffs
+    f.counter.multiplications += k * (k + 1) // 2 + 5 * k * len(live)
+    m = master.coeffs
     logm = f.log[m].astype(np.uint32)
     sums = np.zeros(k, dtype=np.int32)
     size = 0

@@ -35,6 +35,7 @@ class TooManyErasures(ValueError):
 @dataclass
 class ReencodingSet:
     points: list[InterpolationPoint]  # exactly k, distinct nonzero x
+    g: UniPoly  # prod (X + x_i) over their x's, built once: e's master, the context's g, the correction's master
     e_poly: UniPoly
     indices: list[int]  # positions of the chosen points in the source problem
 
@@ -45,12 +46,11 @@ class ReencodingSet:
 
 @dataclass
 class ReducedContext:
-    """What the re-encoding leaves for every later step of the reduced path."""
+    """What the re-encoding leaves for every later step of the reduced path; no step reads psi, so it has none."""
 
     rset: ReencodingSet
-    g: UniPoly
+    g: UniPoly  # rset.g itself, not a copy
     gprime: UniPoly  # g's formal derivative
-    psi: UniPoly
     tails: list[UniPoly]  # t_0 .. t_r
     v: dict[int, int]  # re-encoding x -> multiplicity
     s_star: list[InterpolationPoint]  # transformed points with g(x) != 0
@@ -82,8 +82,9 @@ def select_reencoding_set(problem: InterpolationProblem) -> ReencodingSet:
     if len(candidates) < k:
         raise TooManyErasures(f"only {len(candidates)} eligible x-coordinates, need {k}")
     chosen = sorted(candidates[:k], key=lambda ip: ip[0])
-    e = lagrange_interpolate(problem.field, [(p.x, p.y) for _, p in chosen])
-    return ReencodingSet([p for _, p in chosen], e, [i for i, _ in chosen])
+    g = root_product(problem.field, [p.x for _, p in chosen], np.ones(k, dtype=np.int64))
+    e = lagrange_interpolate(g, [(p.x, p.y) for _, p in chosen])
+    return ReencodingSet([p for _, p in chosen], g, e, [i for i, _ in chosen])
 
 
 def build_context(
@@ -91,20 +92,20 @@ def build_context(
 ) -> ReducedContext:
     """Auxiliary polynomials and the transformed point set, with the original problem's N, delta* and r.
 
-    g is the monic product over the re-encoding x's, psi the multiplicity-
-    weighted product, and t_j carries the excess (j - v_i)+ factors that any
-    reduced solution's Y^j coefficient must keep. Each is one `root_product`
-    call, which charges N(N+1)/2 for its N linear factors, as the chain of
-    multiplications by X + x_i does. Remaining points split into S (fresh x,
-    divide by g(x)) and T (re-encoding x, divide by g'(x)); e, g and g' are
-    evaluated there by `eval_many`, at n - 1 per point for n coefficients.
-    g' stays in the context for the error values.
+    g comes from the re-encoding set. t_j carries the excess (j - v_i)+
+    factors that any reduced solution's Y^j coefficient must keep; each is
+    one `root_product` call, which charges N(N+1)/2 for its N linear
+    factors, as the chain of multiplications by X + x_i does, and so is psi
+    = prod (X + x_i)^(v_i) charged, though not built. Remaining points split
+    into S (fresh x, divide by g(x)) and T (re-encoding x, divide by g'(x));
+    e, g and g' are evaluated there by `eval_many`, at n - 1 per point for n
+    coefficients. g' stays in the context for the error values.
     """
-    f = rset.e_poly.field
+    f, g = rset.g.field, rset.g
     roots = np.array(rset.xs, dtype=np.int32)
     mults = np.array([p.mult for p in rset.points], dtype=np.int64)
-    g = root_product(f, roots, np.ones_like(mults))
-    psi = root_product(f, roots, mults)
+    # the pinned setup charge of a psi that no step builds; ROADMAP item 1's re-pin deletes this line
+    f.counter.multiplications += (n_psi := int(mults.sum())) * (n_psi + 1) // 2
     tails = [root_product(f, roots, np.maximum(j - mults, 0)) for j in range(r + 1)]
     v = {p.x: p.mult for p in rset.points}
     xs = np.array([p.x for p in remaining], dtype=np.int32)
@@ -119,7 +120,7 @@ def build_context(
     t_star: list[InterpolationPoint] = []
     for p, z, t in zip(remaining, zs, on_r):
         (t_star if t else s_star).append(InterpolationPoint(p.x, int(z), p.mult))
-    return ReducedContext(rset, g, gprime, psi, tails, v, s_star, t_star, n_orig, dstar, r)
+    return ReducedContext(rset, g, gprime, tails, v, s_star, t_star, n_orig, dstar, r)
 
 
 def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:

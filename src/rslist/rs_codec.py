@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field
 
 from .galois import Field
@@ -47,22 +48,30 @@ class CodeSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CodeSpec":
-        """Parse a code object; a wrong type or value raises ValueError, a missing key KeyError."""
+        """Parse a code object; a missing key or a wrong type or value raises ValueError."""
         if not isinstance(obj, dict):
             raise ValueError(f"code must be a JSON object, got {type(obj).__name__}")
-        f = Field(json_int(obj["m"], "m"), json_int(obj["prim_poly"], "prim_poly"))
+        f = Field(json_int(json_key(obj, "m"), "m"), json_int(json_key(obj, "prim_poly"), "prim_poly"))
         support = obj.get("support", [])
         if not isinstance(support, list):
             raise ValueError(f"support must be a list, got {type(support).__name__}")
         support = [f.parse_element(x) for x in support]
-        return cls(f, json_int(obj["n"], "n"), json_int(obj["k"], "k"), support)
+        return cls(f, json_int(json_key(obj, "n"), "n"), json_int(json_key(obj, "k"), "k"), support)
+
+
+def json_key(obj: dict, key: str):
+    """obj[key] of a JSON object, else ValueError naming the missing key."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of a JSON file: an int or a decimal string, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
-    return int(value)
+    """An integer field of a JSON file: an int or a decimal string, else ValueError naming the field and value."""
+    with suppress(ValueError):  # a string that is no decimal integer
+        if not isinstance(value, bool) and isinstance(value, (int, str)):
+            return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def encode(code: CodeSpec, f: UniPoly) -> list[int]:

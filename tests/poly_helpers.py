@@ -9,9 +9,17 @@ product, one addition per scalar sum.
 
 import numpy as np
 
-from rslist.galois import DivisionByZero
+from rslist.galois import DivisionByZero, OpCounter
 from rslist.koetter import InterpolationPoint, InterpolationProblem
-from rslist.polynomials import NEG_INF, BiPoly, InexactDivision, UniPoly, ZeroPolynomial
+from rslist.polynomials import (
+    NEG_INF,
+    BiPoly,
+    InexactDivision,
+    UniPoly,
+    ZeroPolynomial,
+    lagrange_interpolate,
+    root_product,
+)
 
 
 def field_add(f, a: int, b: int) -> int:
@@ -140,6 +148,28 @@ def y_eval(p: BiPoly, fpoly: UniPoly) -> UniPoly:
     for j in range(len(p.ycoeffs) - 1, -1, -1):
         acc = acc.mul(fpoly) + p.ycoeffs[j]
     return acc
+
+
+def master(f, xs) -> UniPoly:
+    """prod (X + x) over xs, built under a throwaway counter."""
+    with f.count_into(OpCounter()):
+        return root_product(f, xs, np.ones(len(xs), dtype=np.int64))
+
+
+def interpolate(f, points) -> UniPoly:
+    """`lagrange_interpolate` through the points, with its master built here uncounted.
+
+    The call itself charges the master's k(k+1)/2, so the counts are the library's.
+    """
+    pts = list(points)
+    return lagrange_interpolate(master(f, [x for x, _ in pts]), pts)
+
+
+def psi_of(ctx) -> UniPoly:
+    """psi = prod (X + x_i)^(v_i) over the context's re-encoding points, built under a throwaway counter."""
+    f = ctx.g.field
+    with f.count_into(OpCounter()):
+        return root_product(f, ctx.rset.xs, [p.mult for p in ctx.rset.points])
 
 
 def reconstruct(h: BiPoly, psi: UniPoly, g: UniPoly, e: UniPoly) -> BiPoly:

@@ -1,14 +1,16 @@
 """Randomized property checks shared by the module tests and the acceptance run."""
 
 from rslist.koetter import InterpolationPoint, delta_star, n_constraints
-from rslist.polynomials import BiPoly, UniPoly
+from rslist.polynomials import BiPoly, UniPoly, lagrange_interpolate
 from rslist.reencoding import ReencodingSet, build_context
 
 from conftest import random_bipoly, random_unipoly
 from poly_helpers import (
     exact_div,
+    master,
     mul_linear,
     multiplicity_at,
+    psi_of,
     reconstruct,
     sub_y_scale,
     sub_y_shift,
@@ -119,11 +121,10 @@ def random_context(rng, f, k_max=4, r=3):
     k = rng.randint(2, k_max)
     xs = rng.sample(f.all_elements()[1:], k)
     pts = [InterpolationPoint(x, rng.randrange(f.q), rng.randint(1, 3)) for x in xs]
-    from rslist.polynomials import lagrange_interpolate
-
-    e = lagrange_interpolate(f, [(p.x, p.y) for p in pts])
+    g = master(f, xs)
+    e = lagrange_interpolate(g, [(p.x, p.y) for p in pts])
     n = n_constraints(p.mult for p in pts)
-    return build_context(ReencodingSet(pts, e, list(range(k))), [], n, delta_star(n, k)[0], r)
+    return build_context(ReencodingSet(pts, g, e, list(range(k))), [], n, delta_star(n, k)[0], r)
 
 
 def random_structured_h(rng, f, ctx, r):
@@ -152,7 +153,7 @@ def check_reduced_point_multiplicity_maps(rng, fields, cases):
         r = rng.randint(1, 3)
         ctx = random_context(rng, f, r=r)
         h = random_structured_h(rng, f, ctx, r)
-        qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(f))
+        qprime = reconstruct(h, psi_of(ctx), ctx.g, UniPoly.zero(f))
         if qprime.is_zero:
             continue
         if rng.random() < 0.5:
@@ -184,5 +185,5 @@ def check_degree_identity(rng, fields, cases):
         ctx = random_context(rng, f, r=r)
         k = len(ctx.rset.points)
         h = random_structured_h(rng, f, ctx, r)
-        qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(f))
-        assert wdeg(qprime, 1, k - 1) == int(ctx.psi.degree) + wdeg(h, 1, -1)
+        qprime = reconstruct(h, psi_of(ctx), ctx.g, UniPoly.zero(f))
+        assert wdeg(qprime, 1, k - 1) == int(psi_of(ctx).degree) + wdeg(h, 1, -1)

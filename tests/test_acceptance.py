@@ -38,7 +38,7 @@ import properties
 import golden_tables as gt
 from conftest import random_planted_problem
 from oracle import brute_force_interpolate, enumerate_monomials
-from poly_helpers import multiplicity_at, reconstruct, wdeg
+from poly_helpers import multiplicity_at, psi_of, reconstruct, wdeg
 
 DIRECT_TARGET = 159.56e6
 REDUCED_TARGET = 350e3
@@ -124,7 +124,7 @@ def test_criterion_3_reduced_golden(gf8, worked_problem, crit):
             got = {j: p.to_text() for j, p in res.trace[i].basis}
             assert got == dict(rows), f"trace row {i + 1}"
             assert [j for j, _ in res.trace[i].basis] == [j for j, _ in rows]
-        q = reconstruct(res.minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
+        q = reconstruct(res.minimal, psi_of(ctx), ctx.g, ctx.rset.e_poly)
         assert q.to_text() == gt.Q_DIRECT
 
 

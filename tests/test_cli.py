@@ -117,6 +117,26 @@ class TestDecode:
         assert res.returncode == 2
         assert repr(value) in res.stderr and "a^i" in res.stderr, res.stderr
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["points"][0].update(mult="two"), "error: mult must be an integer, got 'two'"),
+            (lambda obj: obj.update(tau=[4]), "error: tau must be an integer, got [4]"),
+            (lambda obj: obj.pop("points"), "error: missing key 'points'"),
+            (lambda obj: obj["points"][3].pop("y"), "error: missing key 'y'"),
+            (lambda obj: obj["code"].pop("k"), "error: missing key 'k'"),
+        ],
+        ids=["mult-word", "tau-list", "no-points", "no-y", "no-code-k"],
+    )
+    def test_malformed_field_is_named(self, tmp_path, edit, message):
+        obj = json.loads((DATA / "worked_gf8_problem.json").read_text())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        res = run_cli("decode", str(bad))
+        assert res.returncode == 2
+        assert res.stderr.strip() == message
+
     @pytest.mark.parametrize("path", ["reduced", "direct"])
     def test_tau_outside_1_to_n_exits_2(self, path):
         # the worked problem has n = 4; tau is problem input, so both paths bound it

@@ -20,7 +20,7 @@ from conftest import (
     random_tight_problem,
     random_unplanted_problem,
 )
-from poly_helpers import reconstruct, wdeg, y_eval
+from poly_helpers import psi_of, reconstruct, wdeg, y_eval
 
 
 def counts(report):
@@ -97,7 +97,7 @@ def reduced_solution_and_q(problem):
     """The reduced path's H and, as the paper-equivalence oracle, the original problem's Q rebuilt from it."""
     ctx = prepare_reduced(problem)
     h = solve_reduced(ctx).minimal
-    return h, reconstruct(h, ctx.psi, ctx.g, ctx.rset.e_poly)
+    return h, reconstruct(h, psi_of(ctx), ctx.g, ctx.rset.e_poly)
 
 
 def verified_nonroots(report, h, q) -> int:

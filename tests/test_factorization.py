@@ -33,7 +33,9 @@ from poly_helpers import (
     constant,
     exact_div,
     from_arrays,
+    master,
     mul_linear,
+    psi_of,
     reconstruct,
     scale_poly,
     shift_y,
@@ -57,9 +59,10 @@ def worked_h(worked_ctx):
 
 def make_ctx(f, pts):
     """The reduced context of re-encoding set `pts` with no other points, at r = 1."""
-    e = lagrange_interpolate(f, [(p.x, p.y) for p in pts])
+    g = master(f, [p.x for p in pts])
+    e = lagrange_interpolate(g, [(p.x, p.y) for p in pts])
     n = n_constraints(p.mult for p in pts)
-    return build_context(ReencodingSet(list(pts), e, list(range(len(pts)))), [], n, delta_star(n, len(pts))[0], 1)
+    return build_context(ReencodingSet(list(pts), g, e, list(range(len(pts)))), [], n, delta_star(n, len(pts))[0], 1)
 
 
 class TestPowerSeries:
@@ -522,7 +525,7 @@ class TestLinearFactorDivisibility:
             ctx = prepare_reduced(prob)
             rset = ctx.rset
             h = solve_reduced(ctx).minimal
-            q = reconstruct(h, ctx.psi, ctx.g, rset.e_poly)
+            q = reconstruct(h, psi_of(ctx), ctx.g, rset.e_poly)
             if not y_eval(q, fpoly).is_zero:
                 continue  # not enough weighted agreement for divisibility
             # build sigma/omega from f's disagreements with R

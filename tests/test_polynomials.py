@@ -28,6 +28,8 @@ from poly_helpers import (
     exact_div,
     from_arrays,
     horner,
+    interpolate,
+    master,
     mul_linear,
     multiplicity_at,
     reconstruct,
@@ -105,22 +107,22 @@ class TestUniPoly:
 class TestLagrange:
     def test_reencoding_polynomial(self, gf8):
         a = gf8.from_exponent
-        e = lagrange_interpolate(gf8, [(a(1), a(4)), (a(2), a(6))])
+        e = interpolate(gf8, [(a(1), a(4)), (a(2), a(6))])
         assert e.to_json() == [a(5), a(6)]
 
     def test_single_point(self, gf8):
-        assert lagrange_interpolate(gf8, [(3, 5)]) == constant(gf8, 5)
+        assert interpolate(gf8, [(3, 5)]) == constant(gf8, 5)
 
     def test_two_point_message(self, gf8):
         a = gf8.from_exponent
-        p = lagrange_interpolate(gf8, [(a(2), a(3)), (a(1), a(4))])
+        p = interpolate(gf8, [(a(2), a(3)), (a(1), a(4))])
         assert p.to_json() == [a(6), a(2)]
 
     def test_duplicate_abscissa(self, gf8):
         with pytest.raises(DuplicateAbscissa):
-            lagrange_interpolate(gf8, [(1, 2), (1, 3)])
+            interpolate(gf8, [(1, 2), (1, 3)])
         with pytest.raises(ValueError, match="at least one point"):
-            lagrange_interpolate(gf8, [])
+            interpolate(gf8, [])
 
     def test_batched_equals_dense_loop(self):
         rng = random.Random(55)
@@ -143,7 +145,7 @@ class TestLagrange:
         for f, pts in cases:
             batched, dense = OpCounter(), OpCounter()
             with f.count_into(batched):
-                got = lagrange_interpolate(f, pts)
+                got = interpolate(f, pts)
             with f.count_into(dense):
                 want = dense_lagrange(f, pts)
             assert got == want, pts
@@ -155,7 +157,7 @@ class TestLagrange:
         rng = random.Random(239)
         pts = [(x, rng.randrange(1, f.q)) for x in rng.sample(range(f.q), 239)]
         with f.count_into(OpCounter()) as c:
-            lagrange_interpolate(f, pts)
+            interpolate(f, pts)
         assert c.multiplications == 5 * 239**2 + 239 * 240 // 2 == 314_285
 
 
@@ -273,7 +275,7 @@ class TestLagrangeBlocks:
         for pts in cases:
             got_count, want_count = OpCounter(), OpCounter()
             with field.count_into(got_count):
-                got = lagrange_interpolate(field, pts)
+                got = interpolate(field, pts)
             with field.count_into(want_count):
                 want = dense_lagrange(field, pts)
             assert got == want, pts
@@ -291,20 +293,40 @@ class TestLagrangeBlocks:
             pts[depth + 1 :] = [(x, y or 1) for x, y in pts[depth + 1 :]]
             got_count, want_count = OpCounter(), OpCounter()
             with f.count_into(got_count):
-                got = lagrange_interpolate(f, pts)
+                got = interpolate(f, pts)
             with f.count_into(want_count):
                 want = dense_lagrange(f, pts)
             assert got == want
             assert got_count == want_count
             assert got_count.additions <= k * (k - 1) - depth  # a later prefix may cancel by chance too
 
-    def test_wrong_master_raises(self, monkeypatch):
-        # m(x_i) != 0 is the division's nonzero remainder; only a faulty master can get there
+    @pytest.mark.parametrize("block", LAGRANGE_BLOCKS)
+    def test_master_contract(self, block, monkeypatch):
+        # the right master gives the dense loop's values and counts, also when shared between calls;
+        # one of another degree is refused before any charge, one that misses an x fails its m(x_i) = 0 check
+        monkeypatch.setattr(polynomials, "LAGRANGE_BLOCK", block)
         f = Field(8, GF256_POLY)
-        right = polynomials.root_product
-        monkeypatch.setattr(polynomials, "root_product", lambda *args: right(*args) + constant(f, 1))
+        rng = random.Random(block + 5)
+        xs = rng.sample(range(f.q), 20)
+        m = master(f, xs)
+        for _ in range(2):
+            pts = [(x, rng.randrange(f.q)) for x in xs]
+            got_count, want_count = OpCounter(), OpCounter()
+            with f.count_into(got_count):
+                got = lagrange_interpolate(m, pts)
+            with f.count_into(want_count):
+                want = dense_lagrange(f, pts)
+            assert got == want and got_count == want_count
+        pts = [(x, rng.randrange(1, f.q)) for x in xs]
+        other = next(x for x in range(f.q) if x not in xs)
+        for wrong in (master(f, xs[:-1]), master(f, xs + [other]), UniPoly.zero(f)):
+            with f.count_into(OpCounter()) as c:
+                with pytest.raises(ValueError, match="master of degree"):
+                    lagrange_interpolate(wrong, pts)
+            assert c == OpCounter()
+        # the missed x is the last point's, in the last block at every block size
         with pytest.raises(InexactDivision):
-            lagrange_interpolate(f, [(1, 2), (3, 4), (5, 6)])
+            lagrange_interpolate(master(f, xs[:-1] + [other]), pts)
 
 
 class TestEvalMany:
@@ -383,7 +405,7 @@ class TestKernelMemory:
         xs = rng.choice(f.q, 2000, replace=False)
         pts = list(zip(xs.tolist(), rng.integers(1, f.q, xs.size).tolist()))
         with f.count_into(OpCounter()):
-            assert self.peak_mb(lambda: lagrange_interpolate(f, pts)) < self.LAGRANGE_LIMIT_MB
+            assert self.peak_mb(lambda: interpolate(f, pts)) < self.LAGRANGE_LIMIT_MB
 
 
 class TestWeightedDegree:

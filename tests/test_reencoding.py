@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+from rslist import polynomials, reencoding
+from rslist.decoder import decode_reduced
 from rslist.koetter import InterpolationPoint, InterpolationProblem, solve
 from rslist.polynomials import BiPoly, UniPoly
 from rslist.reencoding import (
@@ -17,6 +20,7 @@ from conftest import random_planted_problem, random_repeated_x_problem
 from poly_helpers import (
     check_tail_divisibility,
     multiplicity_at,
+    psi_of,
     reconstruct,
     shift_points,
     sub_y_shift,
@@ -99,7 +103,7 @@ class TestBuildContext:
         assert [(p.x, p.y) for p in ctx.t_star] == [(a(2), 1)]
         assert ctx.v == {a(1): 2, a(2): 1}
         assert ctx.g.to_text() == "a^3 + a^4*X + X^2"
-        assert int(ctx.psi.degree) == 3
+        assert int(psi_of(ctx).degree) == 3
 
     def test_all_tails_trivial_when_vmin_at_least_r(self, gf8):
         pts = [InterpolationPoint(1, 3, 3), InterpolationPoint(2, 5, 3)]
@@ -112,6 +116,28 @@ class TestBuildContext:
         rset = select_reencoding_set(worked_problem)
         ctx = build_context(rset, [], 9, 3, 3)
         assert ctx.s_star == [] and ctx.t_star == []
+
+
+class TestSetupProducts:
+    def test_g_built_once_and_psi_never(self, gf16, monkeypatch):
+        # g = prod (X + x_i) is e's master, the context's g and the correction's master; psi is only charged
+        calls = []
+        for mod in (polynomials, reencoding):
+
+            def spy(field, xs, exps, inner=mod.root_product):
+                calls.append(dict(zip(np.asarray(xs).tolist(), np.asarray(exps).tolist())))
+                return inner(field, xs, exps)
+
+            monkeypatch.setattr(mod, "root_product", spy)
+        message = UniPoly(gf16, [3, 7, 1])
+        mults = [4, 3, 2, 2, 1, 1, 1, 1]
+        pts = [InterpolationPoint(x, message.eval_at(x) ^ (x == 6), m) for x, m in zip(range(1, 9), mults)]
+        report = decode_reduced(InterpolationProblem(gf16, pts, 3), verify=True)
+        assert (3, 7, 1) in report.accepted_set()
+        chosen = [pts[i] for i in report.reencoding_positions]
+        assert sorted(p.mult for p in chosen) == [2, 3, 4]
+        assert sum(c == {p.x: 1 for p in chosen} for c in calls) == 1
+        assert {p.x: p.mult for p in chosen} not in calls
 
 
 class TestSolveReduced:
@@ -185,7 +211,7 @@ class TestEquivalences:
 
     def test_reconstruction_equivalence_on_example(self, gf8, worked_problem):
         ctx = prepare_reduced(worked_problem)
-        q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
+        q = reconstruct(solve_reduced(ctx).minimal, psi_of(ctx), ctx.g, ctx.rset.e_poly)
         assert q == solve(worked_problem).minimal
 
     def test_reconstruction_equivalence_random(self, gf8, gf16):
@@ -196,7 +222,7 @@ class TestEquivalences:
                 ctx = prepare_reduced(prob)
             except TooManyErasures:
                 continue
-            q = reconstruct(solve_reduced(ctx).minimal, ctx.psi, ctx.g, ctx.rset.e_poly)
+            q = reconstruct(solve_reduced(ctx).minimal, psi_of(ctx), ctx.g, ctx.rset.e_poly)
             direct = solve(prob).minimal
             for pt in prob.points:
                 assert multiplicity_at(q, pt.x, pt.y) >= pt.mult
@@ -212,8 +238,8 @@ class TestEquivalences:
             except TooManyErasures:
                 continue
             h = solve_reduced(ctx).minimal
-            qprime = reconstruct(h, ctx.psi, ctx.g, UniPoly.zero(prob.field))
-            assert wdeg(qprime, 1, prob.k - 1) == int(ctx.psi.degree) + wdeg(h, 1, -1)
+            qprime = reconstruct(h, psi_of(ctx), ctx.g, UniPoly.zero(prob.field))
+            assert wdeg(qprime, 1, prob.k - 1) == int(psi_of(ctx).degree) + wdeg(h, 1, -1)
 
 
 class TestProperties:

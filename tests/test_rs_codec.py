@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from rslist.polynomials import UniPoly, lagrange_interpolate
+from rslist.polynomials import UniPoly
 from rslist.rs_codec import CodeSpec, DegreeTooHigh, encode
 
-from poly_helpers import constant
+from poly_helpers import constant, interpolate
 
 
 @pytest.fixture
@@ -48,14 +48,14 @@ class TestReencode:
     """Re-encoding: the degree < k polynomial through k values, as the decoder computes it."""
 
     def test_zero_values(self, gf8):
-        assert lagrange_interpolate(gf8, [(1, 0), (2, 0)]).is_zero
+        assert interpolate(gf8, [(1, 0), (2, 0)]).is_zero
 
     def test_reencoding_agrees_at_given_positions(self, gf8):
         rng = random.Random(21)
         code = CodeSpec(gf8, 7, 3)
         for _ in range(30):
             pts = [(x, rng.randrange(8)) for x in rng.sample(code.support, 3)]
-            e = lagrange_interpolate(gf8, pts)
+            e = interpolate(gf8, pts)
             word = encode(code, e)
             for x, y in pts:
                 assert word[code.support.index(x)] == y
