@@ -30,15 +30,22 @@ EXIT_UNDECODABLE = 3
 MAX_CONSTRAINTS = 1 << 16
 
 
-def load_code(path: str) -> CodeSpec:
+def load_json(path: str):
+    """Parse a JSON file; nesting too deep for the parser is a ValueError like any other malformed JSON."""
     with open(path, encoding="utf-8") as fh:
-        return CodeSpec.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_code(path: str) -> CodeSpec:
+    return CodeSpec.from_json(load_json(path))
 
 
 def load_problem(path: str) -> tuple[InterpolationProblem, CodeSpec, int | None]:
     """Read a problem file; any missing key or malformed shape or value raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"problem must be a JSON object, got {type(obj).__name__}")
     code = CodeSpec.from_json(json_key(obj, "code"))

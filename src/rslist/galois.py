@@ -78,7 +78,7 @@ class Field:
     def __init__(self, m: int, prim_poly: int) -> None:
         if not MIN_EXTENSION <= m <= MAX_EXTENSION:
             raise DegreeMismatch(f"extension degree m={m} outside [{MIN_EXTENSION}, {MAX_EXTENSION}]")
-        if prim_poly.bit_length() != m + 1:
+        if prim_poly >> m != 1:
             raise DegreeMismatch(f"defining polynomial must have degree exactly {m}")
         if not prim_poly & 1:
             raise DegreeMismatch("defining polynomial must have a nonzero constant term")

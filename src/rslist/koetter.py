@@ -32,11 +32,13 @@ checks once per point. The solve result keeps the tensor as its basis,
 and BiPolys are built from it only when a trace row, the minimal
 polynomial or a reader of `BasisTensor.polys` asks for them.
 
-The masks and index arrays of a table build depend only on the point's
-class, (r + 1, mult, orders, v, y == 0), and those of its charges only on
-its constraint schedule, so `point_plan`, `schedule_plan` and `odd_table`
-build each once and keep it in a bounded `functools.lru_cache`, shared by
-every point, decode and thread of the process. Their arrays are read-only.
+A point's constraint schedule, `constraint_schedule(mult)`, and the masks
+and index arrays of its table build and its charges depend only on its
+class, (r + 1, mult, v, y == 0), so `point_plan` builds them once per
+class, and `odd_table` the charges' odd-binomial prefix table once per
+multiplicity and power-of-2 width. Each keeps them in a bounded
+`functools.lru_cache`, shared by every point, decode and thread of the
+process, and their arrays are read-only.
 
 Counts are charged analytically from the row lengths, and they are exactly
 what the dense per-polynomial loop would charge under the convention in
@@ -223,27 +225,33 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class PointPlan(NamedTuple):
-    """The index arrays `ConstraintPoint.build` takes from a point's class, read-only and shared.
+    """The arrays a point's table build and charges take from its class, read-only and shared.
 
-    The class is (r + 1, mult, orders, v, y == 0): nothing here depends on
-    the point's x, its y != 0 or the basis.
+    The class is (r + 1, mult, v, y == 0): nothing here depends on the
+    point's x, its y != 0 or the basis. The number of Hasse orders S is
+    mult at a standard point and max(mult + r - v, r - v, 1) at a T* one.
     """
 
-    superset: np.ndarray  # [s, m]: m & s == s, for s < orders and m below the fold period
+    superset: np.ndarray  # [s, m]: m & s == s, for s < S and m below the fold period
     neg_orders: np.ndarray  # [s]: -s, the power of x that H[j, l, s] takes
-    gather: np.ndarray  # [a, l]: l * orders + max(o, 0) for the order o that row l reads for a
+    gather: np.ndarray  # [a, l]: l * S + max(o, 0) for the order o that row l reads for a
     lift: np.ndarray  # [b, l]: l - b, the power of y on row l
     keep: np.ndarray  # [a, b, l]: the rows l that sum into D[j, a, b]
     check: np.ndarray | None  # [l, s]: s < l - v at a T* point, the derivatives that must vanish
+    schedule: np.ndarray  # [c, 2]: (a, b) of constraint c, in the order of `constraint_schedule(mult)`
+    rows: np.ndarray  # [c, 1, l]: l >= b and C(l, b) odd, the rows constraint c's charge counts
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def point_plan(n: int, mult: int, orders: int, v: int | None, y_zero: bool) -> PointPlan:
-    """The `PointPlan` of the class (n = r + 1, mult, orders, v, y == 0)."""
+def point_plan(n: int, mult: int, v: int | None, y_zero: bool) -> PointPlan:
+    """The `PointPlan` of the class (n = r + 1, mult, v, y == 0)."""
+    orders = mult if v is None else max(mult + n - 1 - v, n - 1 - v, 1)
     s, m = np.arange(orders), np.arange(1 << (orders - 1).bit_length())
     rows, ab = np.arange(n), np.arange(mult)[:, None]
     order = ab + 0 * rows if v is None else ab - v + rows  # [a, l]
-    keep = rows == ab if y_zero else (rows >= ab) & ((rows & ab) == ab)  # [b, l]
+    odd = (rows >= ab) & ((rows & ab) == ab)  # [b, l]: l >= b and C(l, b) odd
+    keep = rows == ab if y_zero else odd
+    schedule = np.array(list(constraint_schedule(mult)))
     return PointPlan(
         _frozen((m & s[:, None]) == s[:, None]),
         _frozen(-s),
@@ -251,24 +259,9 @@ def point_plan(n: int, mult: int, orders: int, v: int | None, y_zero: bool) -> P
         _frozen(rows - ab),
         _frozen(keep & (order >= 0)[:, None, :]),
         None if v is None else _frozen(s < rows[:, None] - v),
+        _frozen(schedule),
+        _frozen(odd[schedule[:, 1], None, :]),
     )
-
-
-class SchedulePlan(NamedTuple):
-    """The arrays `ConstraintPoint.charge` takes from a constraint schedule, read-only and shared."""
-
-    a: np.ndarray  # [c]: constraint c's a
-    b: np.ndarray  # [c, 1]: constraint c's b
-    rows: np.ndarray  # [c, 1, l]: l >= b and C(l, b) odd
-    a_max: int
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def schedule_plan(a: tuple[int, ...], b: tuple[int, ...], n: int) -> SchedulePlan:
-    """The `SchedulePlan` of the constraints (a[c], b[c]) on a basis of n = r + 1 polynomials."""
-    ell, bs = np.arange(n), np.array(b)[:, None]
-    rows = (ell >= bs) & ((ell & bs) == bs)
-    return SchedulePlan(_frozen(np.array(a)), _frozen(bs), _frozen(rows[:, None, :]), max(a))
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -291,63 +284,61 @@ class ConstraintPoint:
     `table[j, a, b]` is the discrepancy of G_j for constraint (a, b), for
     a and b below the multiplicity. The first `update_basis` call builds it
     from the basis, and every later one applies its own step to it, so a
-    point's constraints must be imposed one after another, with no other
-    change to the basis in between.
+    point's constraints must be imposed one after another, in the order of
+    `constraint_schedule`, with no other change to the basis in between.
 
-    Construction charges the per-point setup: r multiplications for the
-    powers of y != 0 and, at a T* point, the powers (X - x)^i for
-    i <= max(v, r - v, 1), built one linear factor at a time. Each
-    constraint's (a, b) and row lengths wait in `pending`, and `charge`
-    takes them all at once when the point's last constraint is imposed.
-    A point keeps no index array of its own: `build` and `charge` read
-    theirs from the shared plans of its class and of its schedule.
+    Construction looks up the point's class plan, `point_plan`, which holds
+    its schedule and every mask and index array that `build` and `charge`
+    read; a point keeps no array of its own but its table. It also charges
+    the per-point setup: r multiplications for the powers of y != 0 and, at
+    a T* point, the powers (X - x)^i for i <= max(v, r - v, 1), built one
+    linear factor at a time. Each constraint's row lengths wait in
+    `pending`, and `charge` takes them all at once when the point's last
+    constraint is imposed.
     """
 
-    __slots__ = ("x", "y", "v", "mult", "orders", "table", "pending")
+    __slots__ = ("x", "y", "v", "mult", "plan", "table", "pending")
 
     def __init__(self, f: Field, pt: InterpolationPoint, r: int, v: int | None = None) -> None:
         self.x, self.y, self.v, self.mult = pt.x, pt.y, v, pt.mult
+        self.plan = point_plan(r + 1, pt.mult, v, pt.y == 0)
         self.table = None
         self.pending = []
         ctr = f.counter
         if pt.y:
             ctr.multiplications += r
-        if v is None:
-            self.orders = pt.mult
-        else:
+        if v is not None:
             top = max(v, r - v, 1)
             ctr.multiplications += top * (top + 1) // 2
-            self.orders = max(pt.mult + r - v, r - v, 1)
 
     def build(self, f: Field, coeffs: np.ndarray, sizes: np.ndarray) -> None:
         """Fill the discrepancy table from the basis, through the point's Hasse table.
 
         H[j, l, s], the order-s Hasse derivative at x of row Y^l of G_j, is
         x^(-s) times the XOR of u[j, l, i] = coeffs[j, l, i] x^i over the
-        slots i with C(i, s) odd, for s < `orders`. By Lucas's theorem
-        C(i, s) is odd iff i & s = s, which for s below the period p, the
-        least power of 2 >= `orders`, depends only on i mod p. So u takes
-        one log/antilog gather over the box, padded with zero slots to a
-        multiple of p, and is XOR-folded by p into P[j, l, m], m < p; then
-        H[j, l, s] is x^(-s) times the XOR of P[j, l, m] over m & s = s. At
-        x = 0, H[j, l, s] is coeffs[j, l, s]. The logs of x^i are reduced
-        below q - 1, so one coefficient log may be added to them inside
-        `exp`, and the polynomials go in blocks of about GATHER_BLOCK
-        entries, which bounds the temporaries. At a T* point every row
+        slots i with C(i, s) odd, for s below the class's number of orders
+        S. By Lucas's theorem C(i, s) is odd iff i & s = s, which for s
+        below the period p, the least power of 2 >= S, depends only on i
+        mod p. So u takes one log/antilog gather over the box, padded with
+        zero slots to a multiple of p, and is XOR-folded by p into
+        P[j, l, m], m < p; then H[j, l, s] is x^(-s) times the XOR of
+        P[j, l, m] over m & s = s. At x = 0, H[j, l, s] is coeffs[j, l, s].
+        The logs of x^i are reduced below q - 1, so one coefficient log may
+        be added to them inside `exp`, and the polynomials go in blocks of
+        about GATHER_BLOCK entries, which bounds the temporaries. At a T* point every row
         l > v must have zero derivatives of the orders below l - v, or
         InexactDivision is raised. Then D[j, a, b] is the XOR over
         the rows l >= b with C(l, b) odd of y^(l - b) H[j, l, o], where o is
         a, or a - v + l if that is >= 0 at a T* point; at y = 0 only l = b
         counts. Every mask and index array of these steps, and the T*
-        check's, comes from the point's class through `point_plan`; only
-        the logs of x and y and the box are the point's own.
+        check's, comes from the point's class plan; only the logs of x and
+        y and the box are the point's own.
         """
-        n, width = len(coeffs), int(sizes.max())
-        plan = point_plan(n, self.mult, self.orders, self.v, self.y == 0)
+        n, width, plan = len(coeffs), int(sizes.max()), self.plan
         log, exp, qm = f.log, f.exp, f.q - 1
         if self.x == 0:
-            hasse = np.zeros((n, n, self.orders), dtype=np.int32)
-            top = min(self.orders, coeffs.shape[2])
+            hasse = np.zeros((n, n, plan.neg_orders.size), dtype=np.int32)
+            top = min(hasse.shape[2], coeffs.shape[2])
             hasse[..., :top] = coeffs[..., :top]
         else:
             period = plan.superset.shape[1]
@@ -369,7 +360,7 @@ class ConstraintPoint:
             if bad.size:
                 # the per-polynomial loop got through G_0 .. G_{j-1} and G_j's rows up to l
                 j, l, _ = bad[0]
-                self.charge(f, [(0, 0, np.where(np.arange(n)[:, None] < j, sizes, 0))])
+                self.charge(f, [np.where(np.arange(n)[:, None] < j, sizes, 0)])
                 f.counter.multiplications += int(self.transformed(sizes[j, : l + 1])[1].sum())
                 raise InexactDivision(f"row Y^{l} of G{j} not divisible by (X + {self.x})^{l - self.v}")
         logs = log.take(hasse.reshape(n, -1).take(plan.gather, axis=1))[:, :, None, :]  # [j, a, 1, l]
@@ -391,42 +382,41 @@ class ConstraintPoint:
         return np.where(sizes > 0, sizes + d, 0), cost
 
     def charge(self, f: Field, pending) -> None:
-        """Charge what the per-polynomial loop charges for the discrepancies of the constraints in `pending`.
+        """Charge what the per-polynomial loop charges for the discrepancies of the schedule's first constraints.
 
-        Each entry is a constraint's (a, b) and the row lengths of the basis
-        it was imposed on. That loop takes coef(P(X+x, Y+y); X^a Y^b) of one
-        polynomial P at a time, P = G at a standard point and the
-        transformed G at a T* one. A standard point charges its x-powers
-        once, up to the largest X-degree minus a over its constraints. A T*
-        point charges the transform, then the transformed polynomial's
-        x-powers up to its X-degree minus a. Every P with Y-degree >= b
-        charges, at y = 0, the y-powers up to its Y-degree minus b, and on
-        each row l >= b with C(l, b) odd, two multiplications and one fewer
-        addition per slot i >= a with C(i, a) odd, counted from one prefix
-        table of those slots, `odd_table`, shared by every point whose
-        largest a and power-of-2 width of the row lengths are the same. The
-        a's, b's and row masks come from the schedule's `schedule_plan`, and
-        the Y-degrees are found only where they are charged: at T* and at
-        y = 0 points.
+        `pending` holds, per constraint from the schedule's first, the row
+        lengths of the basis it was imposed on; the constraints' a's, b's
+        and row masks are the class plan's first len(pending). That loop
+        takes coef(P(X+x, Y+y); X^a Y^b) of one polynomial P at a time, P =
+        G at a standard point and the transformed G at a T* one. A standard
+        point charges its x-powers once, up to the largest X-degree minus a
+        over its constraints. A T* point charges the transform, then the
+        transformed polynomial's x-powers up to its X-degree minus a. Every
+        P with Y-degree >= b charges, at y = 0, the y-powers up to its
+        Y-degree minus b, and on each row l >= b with C(l, b) odd, two
+        multiplications and one fewer addition per slot i >= a with C(i, a)
+        odd, counted from one prefix table of those slots, `odd_table`,
+        shared by every point whose multiplicity and power-of-2 width of the
+        row lengths are the same. The Y-degrees are found only where they
+        are charged: at T* and at y = 0 points.
         """
-        a, b, sizes = zip(*pending)
-        plan = schedule_plan(a, b, len(sizes[0]))
-        sizes = np.array(sizes)
+        plan, c = self.plan, len(pending)
+        (a, b), sizes = plan.schedule[:c].T, np.array(pending)
         if self.v is not None or self.y == 0:
             n = sizes.shape[-1]
             nonzero = sizes > 0
             ydeg = np.where(nonzero.any(2), n - 1 - nonzero[..., ::-1].argmax(2), -1)
-            has = ydeg >= plan.b
+            has = ydeg >= b[:, None]
         if self.v is None:
             lengths = sizes
-            mults = max(int((sizes.max((1, 2)) - 1 - plan.a).max()), 0)
+            mults = max(int((sizes.max((1, 2)) - 1 - a).max()), 0)
         else:
             lengths, cost = self.transformed(sizes)
-            mults = int(cost.sum()) + int(np.maximum(lengths.max(2) - 1 - plan.a[:, None], 0)[has].sum())
+            mults = int(cost.sum()) + int(np.maximum(lengths.max(2) - 1 - a[:, None], 0)[has].sum())
         if self.y == 0:
-            mults += int((ydeg - plan.b)[has].sum())
-        odd = odd_table(plan.a_max, 1 << int(lengths.max()).bit_length())
-        terms = odd[plan.a[:, None, None], lengths] * plan.rows
+            mults += int((ydeg - b[:, None])[has].sum())
+        odd = odd_table(self.mult - 1, 1 << int(lengths.max()).bit_length())
+        terms = odd[a[:, None, None], lengths] * plan.rows[:c]
         total = int(terms.sum())
         ctr = f.counter
         ctr.multiplications += mults + 2 * total
@@ -468,8 +458,8 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     coeffs, sizes = basis.coeffs, basis.sizes
     if point.table is None:
         point.build(f, coeffs, sizes)
-    point.pending.append((a, b, sizes.copy()))
-    if len(point.pending) == point.mult * (point.mult + 1) // 2:
+    point.pending.append(sizes.copy())
+    if len(point.pending) == len(point.plan.schedule):
         point.charge(f, point.pending)
     table = point.table
     deltas = table[:, a, b].tolist()
@@ -533,38 +523,42 @@ def update_basis(basis: BasisTensor, point: ConstraintPoint, a: int, b: int) -> 
     return True
 
 
-def run_constraints(basis: BasisTensor, points, trace: list[TraceRow] | None, v: dict[int, int] | None = None) -> None:
-    """Impose every constraint of `points` on the basis in place, in schedule order.
+def run_constraints(
+    tails: list[UniPoly], order: MonomialOrder, points, collect_trace: bool, v: dict[int, int] | None = None
+) -> tuple[BiPoly, BasisTensor, list[TraceRow] | None]:
+    """Koetter's loop from the basis G_j = t_j(X) Y^j: every constraint of `points`, in schedule order.
 
-    A point whose x is a key of `v` is a T* point with multiplicity v[x]
-    (see ConstraintPoint); the others are standard. Unless `trace` is None,
-    one TraceRow is appended per constraint.
+    The leading monomials start at (deg t_j, j) under `order`. A point whose
+    x is a key of `v` is a T* point with multiplicity v[x] (see
+    ConstraintPoint); the others are standard. Returns the order-least
+    basis polynomial, the basis and, if `collect_trace`, one TraceRow per
+    constraint (else None).
     """
-    r = len(basis.leadings) - 1
+    f, r = tails[0].field, len(tails) - 1
+    polys = [BiPoly(f, [UniPoly.zero(f)] * j + [t]) for j, t in enumerate(tails)]
+    basis = BasisTensor(polys, order, [(int(t.degree), j) for j, t in enumerate(tails)])
+    trace: list[TraceRow] | None = [] if collect_trace else None
     for pt in points:
-        point = ConstraintPoint(basis.field, pt, r, v.get(pt.x) if v else None)
-        for a, b in constraint_schedule(pt.mult):
+        point = ConstraintPoint(f, pt, r, v.get(pt.x) if v else None)
+        for a, b in point.plan.schedule.tolist():
             update_basis(basis, point, a, b)
             if trace is not None:
                 polys = basis.polys
                 trace.append(TraceRow(pt.x, pt.y, pt.mult, a, b, [(j, polys[j]) for j in basis.ascending()]))
+    return basis.polys[basis.ascending()[0]], basis, trace
 
 
 def solve(problem: InterpolationProblem, collect_trace: bool = False) -> SolveResult:
     """Run Koetter's algorithm on the given problem.
 
     Points are processed in the given order with the (a, b) schedule of
-    `constraint_schedule`, from the basis G_j = Y^j with leading monomials
-    (0, j). Returns the order-least basis polynomial, which satisfies every
-    constraint and has minimal (1, k-1)-weighted degree. Outputs are not
-    normalized.
+    `constraint_schedule`, from the basis G_j = Y^j. Returns the
+    order-least basis polynomial, which satisfies every constraint and has
+    minimal (1, k-1)-weighted degree. Outputs are not normalized.
     """
     problem.validate()
-    f = problem.field
     n_cons = n_constraints(p.mult for p in problem.points)
     dstar, r = delta_star(n_cons, problem.k)
-    order = MonomialOrder.weighted(problem.k)
-    basis = BasisTensor([BiPoly.y_power(f, j) for j in range(r + 1)], order, [(0, j) for j in range(r + 1)])
-    trace: list[TraceRow] | None = [] if collect_trace else None
-    run_constraints(basis, problem.points, trace)
-    return SolveResult(basis.polys[basis.ascending()[0]], basis, n_cons, dstar, r, trace)
+    ones = [UniPoly.one(problem.field)] * (r + 1)
+    minimal, basis, trace = run_constraints(ones, MonomialOrder.weighted(problem.k), problem.points, collect_trace)
+    return SolveResult(minimal, basis, n_cons, dstar, r, trace)

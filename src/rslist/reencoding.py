@@ -15,17 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .koetter import (
-    BasisTensor,
-    InterpolationPoint,
-    InterpolationProblem,
-    SolveResult,
-    TraceRow,
-    delta_star,
-    n_constraints,
-    run_constraints,
-)
-from .polynomials import ORDER_REDUCED, BiPoly, UniPoly, lagrange_interpolate, root_product
+from .koetter import InterpolationPoint, InterpolationProblem, SolveResult, delta_star, n_constraints, run_constraints
+from .polynomials import ORDER_REDUCED, UniPoly, lagrange_interpolate, root_product
 
 
 class TooManyErasures(ValueError):
@@ -126,17 +117,12 @@ def build_context(
 def solve_reduced(ctx: ReducedContext, collect_trace: bool = False) -> SolveResult:
     """Koetter engine on the reduced problem.
 
-    Initialization G_j = t_j(X) Y^j with leading monomials (deg t_j, j),
-    order (1, -1), standard discrepancies on S* points and the transformed
-    discrepancy on T* points. Returns the (1, -1)-least basis polynomial.
+    Initialization G_j = t_j(X) Y^j, order (1, -1), standard discrepancies
+    on S* points and the transformed discrepancy on T* points. Returns the
+    (1, -1)-least basis polynomial.
     """
-    f = ctx.g.field
-    r = ctx.r
-    polys = [BiPoly(f, [UniPoly.zero(f)] * j + [ctx.tails[j]]) for j in range(r + 1)]
-    basis = BasisTensor(polys, ORDER_REDUCED, [(int(ctx.tails[j].degree), j) for j in range(r + 1)])
-    trace: list[TraceRow] | None = [] if collect_trace else None
-    run_constraints(basis, ctx.s_star + ctx.t_star, trace, ctx.v)
-    return SolveResult(basis.polys[basis.ascending()[0]], basis, ctx.reduced_constraints(), -1, r, trace)
+    minimal, basis, trace = run_constraints(ctx.tails, ORDER_REDUCED, ctx.s_star + ctx.t_star, collect_trace, ctx.v)
+    return SolveResult(minimal, basis, ctx.reduced_constraints(), -1, ctx.r, trace)
 
 
 def prepare_reduced(problem: InterpolationProblem) -> ReducedContext:

@@ -162,6 +162,27 @@ class TestDecode:
             assert f"exceed the cap of {MAX_CONSTRAINTS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_deeply_nested_json_exits_2(tmp_path, command):
+    # json.load raises RecursionError, not a JSONDecodeError, past the parser's nesting limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    res = run_cli(command, str(deep), *(["1"] if command == "encode" else []))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_negative_prim_poly_exits_2(tmp_path, command):
+    obj = json.loads((DATA / "worked_gf8_problem.json").read_text())
+    obj["code"]["prim_poly"] = -11
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj["code"] if command == "encode" else obj))
+    res = run_cli(command, str(bad), *(["1"] if command == "encode" else []))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
 # Decodes each file given on the command line both ways in one interpreter and
 # prints the exit codes; an exception that would end the CLI with a traceback
 # is printed in place of its code.

@@ -84,6 +84,12 @@ class TestConstruction:
         with pytest.raises(DegreeMismatch):
             Field(17, (1 << 17) | 3)
 
+    @pytest.mark.parametrize("m, prim_poly", [(3, -11), (4, -19), (8, -285)])
+    def test_negative_polynomial_is_degree_mismatch(self, m, prim_poly):
+        # a negative int has a bit length and an odd low bit, but the log table cannot take it
+        with pytest.raises(DegreeMismatch):
+            Field(m, prim_poly)
+
 
 class TestArithmetic:
     def test_mul_exponents(self, gf8):

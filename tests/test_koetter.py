@@ -574,7 +574,7 @@ def mixed_class_problem(f, k, seed):
     return InterpolationProblem(f, points, k)
 
 
-PLAN_CACHES = (koetter.point_plan, koetter.schedule_plan, koetter.odd_table)
+PLAN_CACHES = (koetter.point_plan, koetter.odd_table)
 
 
 def decode_signature(problem):
@@ -633,6 +633,19 @@ class TestPlanCaches:
         assert not any(t.is_alive() for t in threads)
         for mine, theirs in zip(got, want):
             assert mine == [theirs, theirs]
+
+    @pytest.mark.parametrize("mult", range(1, 8))
+    def test_plan_schedule_is_constraint_schedule(self, mult):
+        # run_constraints walks a point's plan and charge reads its first len(pending) entries,
+        # so every class must carry the documented schedule and each constraint's charged rows
+        n = 8
+        for v in (None, 1, n - 1):
+            for y_zero in (False, True):
+                plan = koetter.point_plan(n, mult, v, y_zero)
+                schedule = [tuple(ab) for ab in plan.schedule.tolist()]
+                assert schedule == list(constraint_schedule(mult))
+                for (_, b), rows in zip(schedule, plan.rows[:, 0]):
+                    assert rows.tolist() == [l >= b and (l & b) == b for l in range(n)]
 
     def test_plans_are_read_only(self, gf16, monkeypatch):
         seen = self.recorded_plans(monkeypatch)
